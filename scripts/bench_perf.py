@@ -2,11 +2,10 @@
 """Performance trajectory recorder: writes ``BENCH_perf.json``.
 
 Times the hot layers the perf PRs touched — guest execution under the
-blockjit engine and the tuple interpreter (fused vs unfused
-superinstructions), the path-guided superblock trace and the
-whole-method tracefast backend stacked on top of it, the warm
+blockjit engine and the tuple interpreter, the path-guided trace tier
+(whole-method tracefast codegen) over plain blockjit, the warm
 token ladder on a no-dominant-path workload plus the fixed-point
-fold-coverage census and the AOT break-even ledger (DESIGN.md §15),
+fold-coverage census (DESIGN.md §15), the k-iteration trace, PGO,
 the yieldpoint/sampling-check overhead, lowering
 with and without the compilation cache, path reconstruction with cold vs
 warm memos, and a small fig6 sweep through the experiment engine serial
@@ -44,7 +43,7 @@ _SRC = os.path.join(_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-SCHEMA = 8
+SCHEMA = 9
 REGRESSION_TOLERANCE = 0.25  # fail --check on >25% normalized slowdown
 # Minimum acceptable serial/parallel speedup when the runner actually
 # has cores to parallelize over (generous: contention on loaded CI
@@ -64,20 +63,11 @@ SAMPLING_OVERHEAD_CEILING = 1.50
 # --check also fails if the sampled/unsampled ratio regressed by more
 # than this fraction over the baseline report's ratio.
 SAMPLING_REGRESSION_TOLERANCE = 0.10
-# Minimum hot-loop speedup of a path-guided superblock trace over plain
-# blockjit on full runs (DESIGN.md §11); quick runs are too short for
-# the ratio to gate without flaking, so they only report it.
+# Minimum hot-loop speedup of a promoted path-guided trace (the
+# whole-method tracefast function, DESIGN.md §11/§13) over plain
+# blockjit on full runs; quick runs are too short for the ratio to gate
+# without flaking, so they only report it.
 SUPERBLOCK_SPEEDUP_FLOOR = 1.2
-# Minimum hot-loop speedup of the tracefast whole-method backend over
-# the classic superblock trace on full runs (DESIGN.md §13: promoted
-# registers, token-ladder transfers).  Recalibrated for schema 7:
-# 1.5x was measured against an *unfolded* classic backend — universal
-# fold certification (DESIGN.md §15) now folds the classic trace's
-# chains too, so tracefast's remaining edge is the slotted frame and
-# in-ladder transfers alone (1.06-1.09x measured).  Below 1.0 the
-# backend would be losing to the tier it replaced; the floor guards
-# that edge with a little noise headroom.
-TRACEFAST_SPEEDUP_FLOOR = 1.02
 # Minimum hot-call speedup of PGO layout + dominant-path callee
 # inlining over the same tracefast image with the flags off (DESIGN.md
 # §14): the spliced callee path saves a full interpreter call per
@@ -121,7 +111,7 @@ def calibrate() -> dict:
 # -- interpreter throughput -------------------------------------------------
 
 
-def _lower_image(program, costs, fuse):
+def _lower_image(program, costs):
     from repro.instrument.yieldpoints import insert_yieldpoints
     from repro.vm.interpreter import lower_method
 
@@ -129,7 +119,7 @@ def _lower_image(program, costs, fuse):
     for method in program.iter_methods():
         clone = method.clone()
         insert_yieldpoints(clone)
-        code[method.name] = lower_method(clone, "opt2", costs, fuse=fuse)
+        code[method.name] = lower_method(clone, "opt2", costs)
     return code
 
 
@@ -138,30 +128,19 @@ def bench_interpreter(quick: bool) -> dict:
     from repro.vm.runtime import VirtualMachine
     from repro.workloads.suite import get_workload
 
-    # compress is the tight-loop workload; ps has the branchiest CFG
-    # (the largest fraction of fused T_BRCMP terminators), so together
-    # they bracket how much dispatch cost matters.  Three variants run
-    # on the same workloads: the blockjit engine (the default, timed on
-    # the unfused image — fusion is a tuple-dispatch optimization and
-    # blockjit has no dispatch to fuse), and the tuple interpreter with
-    # and without superinstruction fusion.
+    # compress is the tight-loop workload; ps has the branchiest CFG,
+    # so together they bracket how much dispatch cost matters.  Both
+    # engines run the same images: the blockjit engine (the default)
+    # and the tuple interpreter.
     names = ["compress", "ps"]
     scale = 1.0 if quick else 3.0
     reps = 3 if quick else 8
     costs = CostModel()
     programs = [get_workload(name).build(scale) for name in names]
-    variants = [
-        ("blockjit", False, True),
-        ("fused", True, False),
-        ("unfused", False, False),
-    ]
     rates = {}
     totals = {}
-    for label, fuse, use_blockjit in variants:
-        images = [
-            (program, _lower_image(program, costs, fuse))
-            for program in programs
-        ]
+    for label, use_blockjit in (("blockjit", True), ("interpreter", False)):
+        images = [(program, _lower_image(program, costs)) for program in programs]
         warm = 0.0
         for program, code in images:  # warmup (and parity probe)
             vm = VirtualMachine(
@@ -179,8 +158,8 @@ def bench_interpreter(quick: bool) -> dict:
                 cycles += vm.run().cycles
         wall = time.perf_counter() - t0
         rates[label] = cycles / wall
-    # Bit-identity safety net: every engine/encoding must account the
-    # exact same virtual cycles, else the timings compare different work.
+    # Bit-identity safety net: both engines must account the exact
+    # same virtual cycles, else the timings compare different work.
     if len(set(totals.values())) != 1:
         raise AssertionError(f"engine cycle totals diverged: {totals}")
     return {
@@ -190,43 +169,9 @@ def bench_interpreter(quick: bool) -> dict:
         # Primary throughput metric: the default engine (blockjit).
         "vcycles_per_sec": rates["blockjit"],
         "blockjit_vcycles_per_sec": rates["blockjit"],
-        "fused_vcycles_per_sec": rates["fused"],
-        "unfused_vcycles_per_sec": rates["unfused"],
-        "fusion_speedup": rates["fused"] / rates["unfused"],
-        "blockjit_speedup": rates["blockjit"] / rates["unfused"],
-        "fusion_note": _fusion_note(rates["fused"] / rates["unfused"]),
+        "interpreter_vcycles_per_sec": rates["interpreter"],
+        "blockjit_speedup": rates["blockjit"] / rates["interpreter"],
     }
-
-
-def _fusion_note(fusion_speedup: float) -> str:
-    """Describe the *measured* fusion outcome, not a stale snapshot.
-
-    Earlier schemas hardcoded the number seen on one machine, which went
-    stale as soon as the dispatch loop changed; the note now interprets
-    whatever this run measured.
-    """
-    measured = f"{fusion_speedup:.2f}x on this run"
-    if fusion_speedup >= 1.05:
-        verdict = (
-            f"fusion_speedup is {measured}: the saved tuple dispatch "
-            "outweighs the fused bodies' wider decode ladder here."
-        )
-    elif fusion_speedup >= 0.95:
-        verdict = (
-            f"fusion_speedup is noise-bound around 1.0x ({measured}): "
-            "the fused bodies' wider decode ladder costs about what the "
-            "saved dispatch earns."
-        )
-    else:
-        verdict = (
-            f"fusion_speedup is {measured}: the fused bodies' wider "
-            "decode ladder costs more than the saved dispatch earns."
-        )
-    return (
-        f"{verdict}  Either way FUSE_SUPERINSTRUCTIONS defaults off "
-        "(opt in via REPRO_FUSE=1 or fuse=True); the blockjit engine "
-        "compiles dispatch away entirely, which is the real fix."
-    )
 
 
 # -- yieldpoint / sampling-check overhead ------------------------------------
@@ -386,27 +331,24 @@ def _hot_loop_program(calls: int, inner: int):
 
 
 def bench_superblock(quick: bool) -> dict:
-    """Hot-loop throughput: plain blockjit vs the superblock trace.
+    """Hot-loop throughput: plain blockjit vs the promoted trace tier.
 
     A pilot *sampled* run over the plain image collects the helper's
     path profile; the dominant path (the real promotion decision, via
-    :func:`find_dominant_path`) is then stitched into a superblock on a
-    second, otherwise identical image.  Both images run unsampled for
-    the timed reps — the comparison isolates the trace's execution win
-    (registers as locals, no per-block dispatch), not sampling costs.
-    A cycle-parity probe asserts both images account the exact same
-    virtual cycles before any timing is trusted.
-
-    ``flags.TRACEFAST`` is pinned off for the stage: this measurement
-    tracks the *classic* §11 single-trace backend; the whole-method
-    tracefast tier gets its own stage below.
+    :func:`find_dominant_path`) is then promoted through
+    :func:`install_superblock` — the whole-method tracefast function
+    with the loop trace inlined — on a second, otherwise identical
+    image.  Both images run unsampled for the timed reps — the
+    comparison isolates the trace tier's execution win (registers as
+    locals, no per-block dispatch), not sampling costs.  A cycle-parity
+    probe asserts both images account the exact same virtual cycles
+    before any timing is trusted.
     """
     import gc
 
     from repro.instrument.pep import apply_pep
     from repro.instrument.yieldpoints import insert_yieldpoints
     from repro.sampling.arnold_grove import make_sampler
-    from repro.util import flags
     from repro.util.flags import superblock_enabled
     from repro.vm.costs import CostModel
     from repro.vm.interpreter import lower_method
@@ -451,13 +393,7 @@ def bench_superblock(quick: bool) -> dict:
         }
 
     images = {"plain": pep_image(), "superblock": pep_image()}
-    _tf_old = flags.TRACEFAST
-    flags.TRACEFAST = False
-    try:
-        installed = install_superblock(images["superblock"]["helper"], dominant)
-    finally:
-        flags.TRACEFAST = _tf_old
-    if not installed:
+    if not install_superblock(images["superblock"]["helper"], dominant):
         return {
             "workloads": ["hotloop"],
             "superblock_installed": False,
@@ -500,128 +436,6 @@ def bench_superblock(quick: bool) -> dict:
         "plain_vcycles_per_sec": cycles / best["plain"],
         "superblock_vcycles_per_sec": cycles / best["superblock"],
         "superblock_speedup": best["plain"] / best["superblock"],
-    }
-
-
-def bench_tracefast(quick: bool) -> dict:
-    """Hot-loop throughput: classic superblock vs the tracefast backend.
-
-    Same harness shape as :func:`bench_superblock`, one tier up: the
-    pilot finds the helper's dominant path, then two otherwise identical
-    images install it through :func:`install_superblock` with
-    ``flags.TRACEFAST`` pinned per image — the classic §11 single-trace
-    superblock on one, the §13 whole-method tracefast function (with the
-    run's cost model handed over so exact chain folding engages) on the
-    other.  A cycle-parity probe asserts bit-identical virtual cycles
-    before the timed reps; the reported ``tracefast_speedup`` is gated
-    by ``TRACEFAST_SPEEDUP_FLOOR`` on full runs.
-    """
-    import gc
-
-    from repro.instrument.pep import apply_pep
-    from repro.instrument.yieldpoints import insert_yieldpoints
-    from repro.sampling.arnold_grove import make_sampler
-    from repro.util import flags
-    from repro.util.flags import tracefast_enabled
-    from repro.vm.costs import CostModel
-    from repro.vm.interpreter import lower_method
-    from repro.vm.runtime import VirtualMachine
-    from repro.vm.superblock import find_dominant_path, install_superblock
-
-    calls = 200 if quick else 400
-    reps = 4 if quick else 8
-    program = _hot_loop_program(calls=calls, inner=64)
-    costs = CostModel()
-
-    def pep_image():
-        code = {}
-        for method in program.iter_methods():
-            clone = method.clone()
-            insert_yieldpoints(clone)
-            inst = apply_pep(clone, None)
-            cm = lower_method(clone, "opt2", costs)
-            if inst is not None:
-                cm.attach_dag(inst.dag)
-            code[method.name] = cm
-        return code
-
-    if not tracefast_enabled():
-        return {
-            "workloads": ["hotloop"],
-            "tracefast_installed": False,
-            "note": "REPRO_TRACEFAST=0",
-        }
-
-    pilot_code = pep_image()
-    pilot_vm = VirtualMachine(pilot_code, program.main, costs=costs)
-    pilot_cycles = pilot_vm.run().cycles
-    sampled_vm = VirtualMachine(
-        pilot_code, program.main, costs=costs,
-        tick_interval=pilot_cycles / 200.0, sampler=make_sampler(64, 17),
-    )
-    sampled_vm.run()
-    helper_key = pilot_code["helper"].profile_key
-    dominant = find_dominant_path(
-        sampled_vm.path_profile.method_paths(helper_key), 0.5, 8.0
-    )
-    if dominant is None:
-        return {
-            "workloads": ["hotloop"],
-            "tracefast_installed": False,
-            "note": "no dominant path sampled",
-        }
-
-    images = {"superblock": pep_image(), "tracefast": pep_image()}
-    _tf_old = flags.TRACEFAST
-    try:
-        for label, pinned in (("superblock", False), ("tracefast", True)):
-            flags.TRACEFAST = pinned
-            if not install_superblock(images[label]["helper"], dominant, costs):
-                return {
-                    "workloads": ["hotloop"],
-                    "tracefast_installed": False,
-                    "note": f"path {dominant} is not an installable loop trace",
-                }
-    finally:
-        flags.TRACEFAST = _tf_old
-
-    # Cycle-parity probe (also the warmup): the whole-method function
-    # must account the exact virtual cycles of the superblock trace (and
-    # hence of plain blockjit) or the timing is invalid.
-    probes = {}
-    for label, code in images.items():
-        vm = VirtualMachine(code, program.main, costs=costs, blockjit=True)
-        res = vm.run()
-        probes[label] = (res.cycles, res.return_value, tuple(vm.output))
-    if probes["superblock"] != probes["tracefast"]:
-        raise AssertionError(f"tracefast diverged from superblock: {probes}")
-
-    best = {label: float("inf") for label in images}
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(reps):
-            for label, code in images.items():
-                vm = VirtualMachine(
-                    code, program.main, costs=costs, blockjit=True
-                )
-                t0 = time.perf_counter()
-                vm.run()
-                best[label] = min(best[label], time.perf_counter() - t0)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    cycles = probes["superblock"][0]
-    return {
-        "workloads": ["hotloop"],
-        "calls": calls,
-        "reps": reps,
-        "dominant_path": dominant,
-        "tracefast_installed": True,
-        "cycles": cycles,
-        "superblock_vcycles_per_sec": cycles / best["superblock"],
-        "tracefast_vcycles_per_sec": cycles / best["tracefast"],
-        "tracefast_speedup": best["superblock"] / best["tracefast"],
     }
 
 
@@ -704,8 +518,7 @@ def bench_warmjit(quick: bool) -> dict:
 
     from repro.instrument.pep import apply_pep
     from repro.instrument.yieldpoints import insert_yieldpoints
-    from repro.util import flags
-    from repro.util.flags import tracefast_enabled, warmjit_enabled
+    from repro.util.flags import warmjit_enabled
     from repro.vm.costs import CostModel
     from repro.vm.interpreter import lower_method
     from repro.vm.runtime import VirtualMachine
@@ -729,26 +542,20 @@ def bench_warmjit(quick: bool) -> dict:
             code[method.name] = cm
         return code
 
-    if not (tracefast_enabled() and warmjit_enabled()):
+    if not warmjit_enabled():
         return {
             "workloads": ["braided"],
             "warmjit_installed": False,
-            "note": "REPRO_TRACEFAST=0 or REPRO_WARMJIT=0",
+            "note": "REPRO_WARMJIT=0",
         }
 
     images = {"blockjit": pep_image(), "warmjit": pep_image()}
-    _tf_old = flags.TRACEFAST
-    flags.TRACEFAST = True
-    try:
-        if not install_superblock(images["warmjit"]["helper"], WARM_PATH,
-                                  costs):
-            return {
-                "workloads": ["braided"],
-                "warmjit_installed": False,
-                "note": "warm ladder declined to install",
-            }
-    finally:
-        flags.TRACEFAST = _tf_old
+    if not install_superblock(images["warmjit"]["helper"], WARM_PATH):
+        return {
+            "workloads": ["braided"],
+            "warmjit_installed": False,
+            "note": "warm ladder declined to install",
+        }
 
     # Parity probe (also the warmup): the ladder must account the exact
     # virtual cycles of plain blockjit or the timing is invalid.
@@ -885,13 +692,7 @@ def bench_kblpp(quick: bool) -> dict:
     from repro.instrument.yieldpoints import insert_yieldpoints
     from repro.profiling.kpaths import shared_schema
     from repro.sampling.arnold_grove import make_sampler
-    from repro.util import flags
-    from repro.util.flags import (
-        kblpp_enabled,
-        kblpp_k,
-        tracefast_enabled,
-        warmjit_enabled,
-    )
+    from repro.util.flags import kblpp_enabled, kblpp_k, warmjit_enabled
     from repro.vm.costs import CostModel
     from repro.vm.interpreter import lower_method
     from repro.vm.runtime import VirtualMachine
@@ -922,11 +723,11 @@ def bench_kblpp(quick: bool) -> dict:
             code[method.name] = cm
         return code
 
-    if not (tracefast_enabled() and warmjit_enabled() and kblpp_enabled()):
+    if not (warmjit_enabled() and kblpp_enabled()):
         return {
             "workloads": ["bimodal"],
             "kblpp_installed": False,
-            "note": "REPRO_TRACEFAST=0, REPRO_WARMJIT=0 or REPRO_KBLPP=0",
+            "note": "REPRO_WARMJIT=0 or REPRO_KBLPP=0",
         }
 
     # Pilot: sample the plain image to fill the shadow window table.
@@ -951,24 +752,18 @@ def bench_kblpp(quick: bool) -> dict:
         }
 
     images = {"warmjit": pep_image(), "kblpp": pep_image()}
-    _tf_old = flags.TRACEFAST
-    flags.TRACEFAST = True
-    try:
-        if not install_superblock(images["warmjit"]["helper"], WARM_PATH,
-                                  costs):
-            return {
-                "workloads": ["bimodal"],
-                "kblpp_installed": False,
-                "note": "warm-ladder baseline declined to install",
-            }
-        if not install_superblock(images["kblpp"]["helper"], encoded, costs):
-            return {
-                "workloads": ["bimodal"],
-                "kblpp_installed": False,
-                "note": f"k-window {dominant} declined to install",
-            }
-    finally:
-        flags.TRACEFAST = _tf_old
+    if not install_superblock(images["warmjit"]["helper"], WARM_PATH):
+        return {
+            "workloads": ["bimodal"],
+            "kblpp_installed": False,
+            "note": "warm-ladder baseline declined to install",
+        }
+    if not install_superblock(images["kblpp"]["helper"], encoded):
+        return {
+            "workloads": ["bimodal"],
+            "kblpp_installed": False,
+            "note": f"k-window {dominant} declined to install",
+        }
 
     # Cycle-parity probe (also the warmup): the k-trace must account the
     # exact virtual cycles of the warm ladder or the timing is invalid.
@@ -1071,13 +866,10 @@ def bench_foldcov(quick: bool) -> dict:
     off it.
     """
     from repro.instrument.yieldpoints import insert_yieldpoints
-    from repro.util.flags import fixedcost_enabled
     from repro.vm.costs import FOLD_SHIFT, CostModel
     from repro.vm.interpreter import lower_method
     from repro.workloads.suite import benchmark_suite
 
-    if not fixedcost_enabled():
-        return {"fold_coverage": None, "note": "REPRO_FIXEDCOST=0"}
     scale = 0.3 if quick else 0.5
     tiers = ("baseline", "opt0", "opt1", "opt2")
     costs = CostModel()
@@ -1103,136 +895,6 @@ def bench_foldcov(quick: bool) -> dict:
         "fold_rejected": rejected,
         "fold_coverage": certified / total if total else None,
     }
-
-
-# -- AOT break-even (DESIGN.md §13/§15) --------------------------------------
-
-
-def bench_aot(quick: bool) -> dict:
-    """AOT break-even: build-cost ledger vs the per-run exec-path saving.
-
-    When the Cython toolchain is present, the tracefast image is
-    installed twice — exec backend vs AOT backend — and the build
-    ledger (:func:`repro.vm.aot.build_ledger`, actual cythonize+compile
-    seconds only, cache-hit imports excluded) is divided by the per-run
-    wall saving to report ``breakeven_runs``: how many steady-state runs
-    a build must amortise over before it wins.  Without the toolchain
-    the stage just reports the (empty) ledger and the configured budget
-    (``REPRO_TRACEFAST_AOT_BUDGET_S``), under which exhausted builds
-    degrade to exec.
-    """
-    import gc
-
-    from repro.instrument.pep import apply_pep
-    from repro.instrument.yieldpoints import insert_yieldpoints
-    from repro.sampling.arnold_grove import make_sampler
-    from repro.util import flags
-    from repro.util.flags import tracefast_enabled
-    from repro.vm import aot
-    from repro.vm.costs import CostModel
-    from repro.vm.interpreter import lower_method
-    from repro.vm.runtime import VirtualMachine
-    from repro.vm.superblock import find_dominant_path, install_superblock
-
-    out = {
-        "aot_available": aot.aot_available(),
-        "build_budget_s": aot.build_budget_s(),
-    }
-    out.update(aot.build_ledger())
-    if not out["aot_available"] or not tracefast_enabled():
-        out["note"] = (
-            "REPRO_TRACEFAST=0" if out["aot_available"]
-            else "AOT toolchain unavailable"
-        )
-        return out
-
-    calls = 200 if quick else 400
-    reps = 4 if quick else 8
-    program = _hot_loop_program(calls=calls, inner=64)
-    costs = CostModel()
-
-    def pep_image():
-        code = {}
-        for method in program.iter_methods():
-            clone = method.clone()
-            insert_yieldpoints(clone)
-            inst = apply_pep(clone, None)
-            cm = lower_method(clone, "opt2", costs)
-            if inst is not None:
-                cm.attach_dag(inst.dag)
-            code[method.name] = cm
-        return code
-
-    pilot_code = pep_image()
-    pilot_vm = VirtualMachine(pilot_code, program.main, costs=costs)
-    pilot_cycles = pilot_vm.run().cycles
-    sampled_vm = VirtualMachine(
-        pilot_code, program.main, costs=costs,
-        tick_interval=pilot_cycles / 200.0, sampler=make_sampler(64, 17),
-    )
-    sampled_vm.run()
-    helper_key = pilot_code["helper"].profile_key
-    dominant = find_dominant_path(
-        sampled_vm.path_profile.method_paths(helper_key), 0.5, 8.0
-    )
-    if dominant is None:
-        out["note"] = "no dominant path sampled"
-        return out
-
-    images = {"exec": pep_image(), "aot": pep_image()}
-    _old = (flags.TRACEFAST, flags.TRACEFAST_AOT)
-    try:
-        flags.TRACEFAST = True
-        for label, pinned in (("exec", False), ("aot", True)):
-            flags.TRACEFAST_AOT = pinned
-            if not install_superblock(images[label]["helper"], dominant,
-                                      costs):
-                out["note"] = f"path {dominant} is not installable"
-                return out
-    finally:
-        flags.TRACEFAST, flags.TRACEFAST_AOT = _old
-    out.update(aot.build_ledger())  # the installs above may have built
-
-    probes = {}
-    for label, code in images.items():
-        vm = VirtualMachine(code, program.main, costs=costs, blockjit=True)
-        res = vm.run()
-        probes[label] = (res.cycles, res.return_value, tuple(vm.output))
-    if probes["exec"] != probes["aot"]:
-        raise AssertionError(f"AOT diverged from exec: {probes}")
-
-    best = {label: float("inf") for label in images}
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(reps):
-            for label, code in images.items():
-                vm = VirtualMachine(
-                    code, program.main, costs=costs, blockjit=True
-                )
-                t0 = time.perf_counter()
-                vm.run()
-                best[label] = min(best[label], time.perf_counter() - t0)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    saving = best["exec"] - best["aot"]
-    out.update(
-        {
-            "calls": calls,
-            "reps": reps,
-            "exec_wall_s": best["exec"],
-            "aot_wall_s": best["aot"],
-            "aot_speedup": best["exec"] / best["aot"],
-            # None when AOT did not actually win on this run (or nothing
-            # was built this process): there is no finite break-even.
-            "breakeven_runs": (
-                out["build_seconds"] / saving
-                if saving > 0 and out["build_seconds"] > 0 else None
-            ),
-        }
-    )
-    return out
 
 
 # -- profile-guided optimization ---------------------------------------------
@@ -1317,16 +979,16 @@ def bench_pgo(quick: bool) -> dict:
     )
     from repro.sampling.arnold_grove import SamplingConfig
     from repro.util import flags
-    from repro.util.flags import pgo_enabled, tracefast_enabled
+    from repro.util.flags import pgo_enabled
     from repro.vm import pgo
     from repro.vm.runtime import VirtualMachine
     from repro.workloads.suite import get_workload
 
-    if not pgo_enabled() or not tracefast_enabled():
+    if not pgo_enabled():
         return {
             "workloads": ["pgo_hotcall"],
             "pgo_installed": False,
-            "note": "REPRO_PGO=0 or REPRO_TRACEFAST=0",
+            "note": "REPRO_PGO=0",
         }
 
     calls = 250 if quick else 500
@@ -1334,14 +996,12 @@ def bench_pgo(quick: bool) -> dict:
     program = _hot_call_program(calls=calls, inner=36)
 
     def pinned(label):
-        flags.TRACEFAST = True
         flags.PGO = True
         flags.PGO_LAYOUT = label == "on"
         flags.PGO_INLINE = label == "on"
 
     saved = (
-        flags.TRACEFAST, flags.PGO, flags.PGO_LAYOUT, flags.PGO_INLINE,
-        flags.PGO_PROBES,
+        flags.PGO, flags.PGO_LAYOUT, flags.PGO_INLINE, flags.PGO_PROBES,
     )
     try:
         # Warmup: one adaptive run per variant promotes the caller and
@@ -1412,8 +1072,7 @@ def bench_pgo(quick: bool) -> dict:
             }
     finally:
         (
-            flags.TRACEFAST, flags.PGO, flags.PGO_LAYOUT, flags.PGO_INLINE,
-            flags.PGO_PROBES,
+            flags.PGO, flags.PGO_LAYOUT, flags.PGO_INLINE, flags.PGO_PROBES,
         ) = saved
 
     cycles = probes["on"][0]
@@ -1640,14 +1299,10 @@ def append_history(report: dict, path: str) -> None:
         "normalized_interp_rate": report.get("normalized_interp_rate"),
         "vcycles_per_sec": interp.get("vcycles_per_sec"),
         "blockjit_speedup": interp.get("blockjit_speedup"),
-        "fusion_speedup": interp.get("fusion_speedup"),
         "sampling_wall_overhead": sampling.get("sampling_wall_overhead"),
         "sampling_datapath": sampling.get("datapath"),
         "superblock_speedup": metrics.get("superblock", {}).get(
             "superblock_speedup"
-        ),
-        "tracefast_speedup": metrics.get("tracefast", {}).get(
-            "tracefast_speedup"
         ),
         "warmjit_speedup": metrics.get("warmjit", {}).get("warmjit_speedup"),
         "kblpp_speedup": metrics.get("kblpp", {}).get("kblpp_speedup"),
@@ -1739,9 +1394,8 @@ def main(argv=None) -> int:
         "--stage",
         action="append",
         choices=[
-            "interpreter", "sampling", "superblock", "tracefast", "warmjit",
-            "kblpp", "foldcov", "aot", "pgo", "lowering", "reconstruction",
-            "sweep",
+            "interpreter", "sampling", "superblock", "warmjit", "kblpp",
+            "foldcov", "pgo", "lowering", "reconstruction", "sweep",
         ],
         default=None,
         help="run only the named stage (repeatable; default: all). "
@@ -1763,11 +1417,9 @@ def main(argv=None) -> int:
         ("interpreter", lambda: bench_interpreter(args.quick)),
         ("sampling", lambda: bench_sampling(args.quick)),
         ("superblock", lambda: bench_superblock(args.quick)),
-        ("tracefast", lambda: bench_tracefast(args.quick)),
         ("warmjit", lambda: bench_warmjit(args.quick)),
         ("kblpp", lambda: bench_kblpp(args.quick)),
         ("foldcov", lambda: bench_foldcov(args.quick)),
-        ("aot", lambda: bench_aot(args.quick)),
         ("pgo", lambda: bench_pgo(args.quick)),
         ("lowering", lambda: bench_lowering(args.quick)),
         ("reconstruction", lambda: bench_reconstruction(args.quick)),
@@ -1810,8 +1462,8 @@ def main(argv=None) -> int:
     if partial:
         for name in args.stage:
             stage_metrics = metrics.get(name, {})
-            for key in ("superblock_speedup", "tracefast_speedup",
-                        "warmjit_speedup", "kblpp_speedup", "pgo_speedup"):
+            for key in ("superblock_speedup", "warmjit_speedup",
+                        "kblpp_speedup", "pgo_speedup"):
                 if key in stage_metrics:
                     print(f"bench_perf: {key} {stage_metrics[key]:.2f}x")
             if stage_metrics.get("fold_coverage") is not None:
@@ -1824,7 +1476,6 @@ def main(argv=None) -> int:
     interp = metrics["interpreter"]
     sampling = metrics["sampling"]
     superblock = metrics["superblock"]
-    tracefast = metrics["tracefast"]
     warmjit = metrics["warmjit"]
     kblpp = metrics["kblpp"]
     foldcov = metrics["foldcov"]
@@ -1832,11 +1483,6 @@ def main(argv=None) -> int:
     sb_text = (
         f"{superblock['superblock_speedup']:.2f}x"
         if superblock.get("superblock_installed")
-        else "n/a"
-    )
-    tf_text = (
-        f"{tracefast['tracefast_speedup']:.2f}x"
-        if tracefast.get("tracefast_installed")
         else "n/a"
     )
     pgo_text = (
@@ -1862,11 +1508,10 @@ def main(argv=None) -> int:
     )
     print(
         f"bench_perf: blockjit speedup {interp['blockjit_speedup']:.2f}x "
-        f"over the tuple interpreter, fusion speedup "
-        f"{interp['fusion_speedup']:.2f}x, sampling wall overhead "
-        f"{sampling['sampling_wall_overhead']:.2f}x, superblock hot-loop "
-        f"speedup {sb_text}, tracefast speedup {tf_text} over the "
-        f"superblock, warm-ladder speedup {wj_text} over plain blockjit, "
+        f"over the tuple interpreter, sampling wall overhead "
+        f"{sampling['sampling_wall_overhead']:.2f}x, trace hot-loop "
+        f"speedup {sb_text} over plain blockjit, "
+        f"warm-ladder speedup {wj_text} over plain blockjit, "
         f"k-trace bimodal speedup {kb_text} over the warm ladder, "
         f"fold coverage {fc_text}, pgo speedup {pgo_text}, parallel speedup "
         f"{sweep['parallel_speedup']:.2f}x ({sweep['jobs']} jobs on "
@@ -1886,7 +1531,7 @@ def main(argv=None) -> int:
                 f"{SAMPLING_OVERHEAD_CEILING:.2f}x ceiling"
             )
             rc = 1
-    # Superblock hot-loop floor (full runs only, and only when a trace
+    # Trace-tier hot-loop floor (full runs only, and only when a trace
     # actually installed — REPRO_SUPERBLOCK=0 runs report n/a).
     if not args.quick and superblock.get("superblock_installed"):
         if superblock["superblock_speedup"] < SUPERBLOCK_SPEEDUP_FLOOR:
@@ -1896,18 +1541,8 @@ def main(argv=None) -> int:
                 f"{SUPERBLOCK_SPEEDUP_FLOOR:.2f}x floor"
             )
             rc = 1
-    # Tracefast-over-superblock floor (full runs only, same reasoning;
-    # REPRO_TRACEFAST=0 runs report n/a and skip the gate).
-    if not args.quick and tracefast.get("tracefast_installed"):
-        if tracefast["tracefast_speedup"] < TRACEFAST_SPEEDUP_FLOOR:
-            print(
-                f"bench_perf: FATAL tracefast hot-loop speedup "
-                f"{tracefast['tracefast_speedup']:.3f}x below the "
-                f"{TRACEFAST_SPEEDUP_FLOOR:.2f}x floor"
-            )
-            rc = 1
     # Warm-ladder-over-blockjit floor (full runs only; REPRO_WARMJIT=0
-    # or REPRO_TRACEFAST=0 runs report n/a and skip the gate).
+    # runs report n/a and skip the gate).
     if not args.quick and warmjit.get("warmjit_installed"):
         if warmjit["warmjit_speedup"] < WARMJIT_SPEEDUP_FLOOR:
             print(

@@ -124,7 +124,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         coverage = totals.get("fold_coverage")
         print(
             f"  blockjit={totals['blockjit_methods']} "
-            f"superblock={totals['superblock_installs']} "
             f"tracefast={totals['tracefast_installs']} "
             f"warmjit={totals['warmjit_installs']} "
             f"pgo_inline_sites={totals['pgo_inline_sites']} "
@@ -134,7 +133,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print(
             f"  fold: certified={totals['fold_certified']} "
             f"rejected={totals['fold_rejected']} "
-            f"legacy={totals['fold_legacy']} "
             "coverage="
             + (f"{coverage:.3f}" if coverage is not None else "n/a")
         )

@@ -26,7 +26,6 @@ from repro.util.flags import (
     kblpp_enabled,
     kblpp_k,
     superblock_enabled,
-    tracefast_enabled,
     warmjit_enabled,
 )
 from repro.vm.costs import CostModel
@@ -149,14 +148,9 @@ class AdaptiveSystem:
         # eligibility — cached so the controller does not re-expand the
         # same unstitchable window at every later sample.
         self._kpath_rejected: set = set()
-        # Backend for promoted traces (DESIGN.md §13): the whole-method
-        # tracefast tier when enabled, the classic §11 superblock
-        # otherwise.  Resolved once so one run uses one tier.
-        self._tracefast = tracefast_enabled()
         # Warm-ladder tier (DESIGN.md §15): tracefast codegen with no
-        # trace arm, for warm methods without a dominant path.  Only
-        # meaningful when the tracefast backend itself is selected.
-        self._warmjit = self._tracefast and warmjit_enabled()
+        # trace arm, for warm methods without a dominant path.
+        self._warmjit = warmjit_enabled()
         self._bootstrap()
 
     def _bootstrap(self) -> None:
@@ -306,7 +300,7 @@ class AdaptiveSystem:
         back to the normal call).  Zero virtual cycles, no profile
         writes — like promotion itself, observable only in wall clock.
         """
-        if not (self._superblock and self._tracefast):
+        if not self._superblock:
             return
         from repro.vm import pgo
 
@@ -341,7 +335,7 @@ class AdaptiveSystem:
                 caller.sb_source = None
                 caller.sb_fingerprint = None
                 try:
-                    install_superblock(caller, caller.sb_path, self.costs)
+                    install_superblock(caller, caller.sb_path)
                 except Exception:
                     # Degrade to plain blockjit rather than failing the
                     # recompile that triggered the refresh; the method
@@ -404,15 +398,10 @@ class AdaptiveSystem:
                 "staying on plain blockjit",
             )
             return
-        # The tracefast backend has its own fault site; firing degrades
-        # to plain blockjit (NOT to the superblock backend — the method
-        # simply stays unpromoted).  The check only runs when the
-        # tracefast tier is selected, so REPRO_TRACEFAST=0 runs are
-        # byte-identical to PR-5 even under a tracefast-compile plan.
-        if (
-            self._tracefast
-            and injector is not None
-            and injector.should_fire("tracefast-compile", key)
+        # The codegen backend has its own fault site; firing degrades
+        # to plain blockjit (the method simply stays unpromoted).
+        if injector is not None and injector.should_fire(
+            "tracefast-compile", key
         ):
             resilience.health.record_degradation(
                 "tracefast-degrade",
@@ -420,36 +409,33 @@ class AdaptiveSystem:
                 "staying on plain blockjit",
             )
             return
-        tier = "tracefast" if self._tracefast else "superblock"
-        if self._tracefast:
-            # Dominant-path inlining advice (DESIGN.md §14): computed
-            # from the sampled call graph and the callees' own path
-            # profiles at promotion time, attached to the method before
-            # codegen so the generated source (and its fingerprint,
-            # via pgo_fingerprint) reflects it.  A deterministic pure
-            # read of VM state — no cycles, no profile writes — and
-            # None whenever REPRO_PGO_INLINE is off.
-            from repro.vm import pgo
-            from repro.vm.superblock import trace_blocks
+        # Dominant-path inlining advice (DESIGN.md §14): computed from
+        # the sampled call graph and the callees' own path profiles at
+        # promotion time, attached to the method before codegen so the
+        # generated source (and its fingerprint, via pgo_fingerprint)
+        # reflects it.  A deterministic pure read of VM state — no
+        # cycles, no profile writes — and None whenever
+        # REPRO_PGO_INLINE is off.
+        from repro.vm import pgo
 
-            trace = trace_blocks(cm, path)
-            if trace is not None:
-                cm.pgo_inline = pgo.compute_inline_advice(
-                    cm,
-                    [b.label for b in trace],
-                    vm.code,
-                    vm.call_graph,
-                    vm.path_profile,
-                    self.config.superblock_threshold,
-                    self.config.superblock_min_samples,
-                )
+        trace = trace_blocks(cm, path)
+        if trace is not None:
+            cm.pgo_inline = pgo.compute_inline_advice(
+                cm,
+                [b.label for b in trace],
+                vm.code,
+                vm.call_graph,
+                vm.path_profile,
+                self.config.superblock_threshold,
+                self.config.superblock_min_samples,
+            )
         try:
-            installed = install_superblock(cm, path, self.costs)
+            installed = install_superblock(cm, path)
         except Exception as exc:
             if resilience is not None:
                 resilience.health.record_degradation(
-                    f"{tier}-degrade",
-                    f"{source_name}: {tier} compile failed ({exc}); "
+                    "tracefast-degrade",
+                    f"{source_name}: tracefast compile failed ({exc}); "
                     "staying on plain blockjit",
                 )
                 return
@@ -495,9 +481,9 @@ class AdaptiveSystem:
         Same contract as superblock promotion — one decision per
         compiled version, zero virtual cycles, no profile writes, no
         RNG draws on unconfigured fault plans — at a lower sample floor
-        (``warmjit_min_samples``).  With the tier off (or the tracefast
-        backend unselected) this is a pure no-op, so ``REPRO_WARMJIT=0``
-        runs are byte-identical to PR-8 even under a warmjit fault plan.
+        (``warmjit_min_samples``).  With the tier off this is a pure
+        no-op, so ``REPRO_WARMJIT=0`` runs are byte-identical even under
+        a warmjit fault plan.
         """
         if not self._warmjit:
             return
@@ -521,7 +507,7 @@ class AdaptiveSystem:
             )
             return
         try:
-            installed = install_superblock(cm, WARM_PATH, self.costs)
+            installed = install_superblock(cm, WARM_PATH)
         except Exception as exc:
             if resilience is not None:
                 resilience.health.record_degradation(

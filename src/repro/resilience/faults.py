@@ -34,8 +34,8 @@ from repro.util.rng import DeterministicRng
 #: * ``superblock-compile`` — path-guided superblock formation; firing
 #:   degrades the method to plain blockjit (observables unchanged)
 #: * ``tracefast-compile``  — whole-method tracefast codegen (DESIGN.md
-#:   §13); firing degrades the method to plain blockjit — not to the
-#:   superblock backend — with a ``tracefast-degrade`` health entry
+#:   §13); firing degrades the method to plain blockjit with a
+#:   ``tracefast-degrade`` health entry
 #: * ``warmjit-compile``    — warm token-ladder promotion (DESIGN.md
 #:   §15); firing degrades the method to plain blockjit with a
 #:   ``warmjit-degrade`` health entry.  A later dominant-path trace can

@@ -2,10 +2,9 @@
 
 The sampling fast path (countdown yieldpoints, dense profile tables,
 buffered sample recording — see DESIGN.md §10) is controlled by
-``REPRO_SAMPLEFAST``.  It follows the same resolution idiom as
-:func:`repro.vm.interpreter.resolve_fuse`: an explicit argument wins,
-then the module flag (tests may pin it), then the environment variable,
-then the built-in default of *on*.
+``REPRO_SAMPLEFAST``.  Every flag here follows the same resolution
+idiom: an explicit argument wins, then the module flag (tests may pin
+it), then the environment variable, then the built-in default of *on*.
 
 Both datapaths are bit-identical in every observable (profiles, virtual
 cycles, fault-injection sequences — ``tests/test_samplefast.py`` proves
@@ -37,25 +36,6 @@ NUMPY_DRAIN_ENV = "REPRO_NUMPY_DRAIN"
 #: the adds are exact in any order).
 NUMPY_DRAIN: Optional[bool] = None
 
-TRACEFAST_ENV = "REPRO_TRACEFAST"
-
-#: Module override for the slotted-frame trace backend (DESIGN.md §13):
-#: when a dominant path is promoted, compile the *whole method* into one
-#: generated function (registers promoted to locals across every block,
-#: token dispatch instead of the segment trampoline, batched cost/PEP
-#: chains) instead of the single-trace ``_sb`` function of §11.
-TRACEFAST: Optional[bool] = None
-
-TRACEFAST_AOT_ENV = "REPRO_TRACEFAST_AOT"
-
-#: Module override for the optional AOT sub-tier of the tracefast
-#: backend: when a supported ahead-of-time compiler (Cython) and a C
-#: toolchain are importable, the hottest generated trace modules are
-#: compiled to native extensions keyed by their content fingerprints.
-#: Inert (pure-Python tracefast) when the toolchain is missing.
-TRACEFAST_AOT: Optional[bool] = None
-
-
 PGO_ENV = "REPRO_PGO"
 
 #: Module override for the profile-guided optimization tier (DESIGN.md
@@ -86,19 +66,6 @@ PGO_PROBES_ENV = "REPRO_PGO_PROBES"
 #: edge-instrumentation mode and reconstruct the full edge profile at
 #: drain time (Knuth / Ball-Larus minimum instrumentation).
 PGO_PROBES: Optional[bool] = None
-
-FIXEDCOST_ENV = "REPRO_FIXEDCOST"
-
-#: Module override for fixed-point cost folding (DESIGN.md §15): when a
-#: method's lowered charges are certified on the fixed-point grid
-#: (``CostModel.fold_scale``, computed at lowering as
-#: ``CompiledMethod.fold_q``), both codegen backends fold *every*
-#: straight-line cost chain into one scaled-integer constant — no
-#: clean-dyadic gate, no dirty-accumulator tracking.  Grid arithmetic is
-#: exact in floats, so folding is bit-identical to the sequential adds;
-#: ``REPRO_FIXEDCOST=0`` is the kill switch that reverts codegen to the
-#: PR-7/PR-8 chained emission byte for byte.
-FIXEDCOST: Optional[bool] = None
 
 WARMJIT_ENV = "REPRO_WARMJIT"
 
@@ -171,34 +138,6 @@ def superblock_enabled(explicit: Optional[bool] = None) -> bool:
     return _env_enabled(SUPERBLOCK_ENV)
 
 
-def tracefast_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve the effective tracefast-backend setting.
-
-    ``REPRO_TRACEFAST=0`` is the kill switch: promoted methods fall back
-    to the PR-5 single-trace superblock backend and persisted tracefast
-    sources are not re-installed (their fingerprints embed the resolved
-    flag, so a flag flip misses cleanly).  Both backends are bit-identical
-    in every observable (``tests/test_tracefast.py`` proves it); the flag
-    only moves wall clock.
-    """
-    if explicit is not None:
-        return bool(explicit)
-    if TRACEFAST is not None:
-        return bool(TRACEFAST)
-    return _env_enabled(TRACEFAST_ENV)
-
-
-def tracefast_aot_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve the AOT sub-tier setting (effective only if a toolchain
-    actually imports; ``repro.vm.aot`` gates on availability separately).
-    ``REPRO_TRACEFAST_AOT=0`` forces the pure-Python tracefast path."""
-    if explicit is not None:
-        return bool(explicit)
-    if TRACEFAST_AOT is not None:
-        return bool(TRACEFAST_AOT)
-    return _env_enabled(TRACEFAST_AOT_ENV)
-
-
 def pgo_enabled(explicit: Optional[bool] = None) -> bool:
     """Resolve the PGO master switch.
 
@@ -260,28 +199,9 @@ def pgo_probes_enabled(explicit: Optional[bool] = None) -> bool:
     return _env_enabled(PGO_PROBES_ENV)
 
 
-def fixedcost_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve the fixed-point cost-folding setting.
-
-    ``REPRO_FIXEDCOST=0`` reverts both codegen backends to the legacy
-    clean-dyadic gate and chained cost emission (bit-identical digests —
-    grid arithmetic is exact either way, the flag only moves wall
-    clock).  The resolved value participates in codecache keys and
-    superblock/tracefast fingerprints: folded and chained sources must
-    never be conflated across processes.
-    """
-    if explicit is not None:
-        return bool(explicit)
-    if FIXEDCOST is not None:
-        return bool(FIXEDCOST)
-    return _env_enabled(FIXEDCOST_ENV)
-
-
 def warmjit_enabled(explicit: Optional[bool] = None) -> bool:
     """Resolve the warm-method whole-method-codegen setting.
 
-    Effective only when the tracefast backend itself is on (the warm
-    ladder is tracefast codegen without a trace arm).
     ``REPRO_WARMJIT=0`` is the kill switch: the controller stops
     promoting warm methods and persisted warm ladders are not
     re-installed (the artefacts stay for a later enabled process, like
@@ -297,8 +217,8 @@ def warmjit_enabled(explicit: Optional[bool] = None) -> bool:
 def kblpp_enabled(explicit: Optional[bool] = None) -> bool:
     """Resolve the k-iteration path-profiling setting.
 
-    Effective recording further requires the tracefast/superblock tiers
-    for the *promotion* half, but the flag itself only gates the shadow
+    Effective promotion further requires superblock formation, but the
+    flag itself only gates the shadow
     k-path table and the controller's k-path fallback.
     ``REPRO_KBLPP=0`` is the kill switch: the sampler stops chaining
     windows, the controller never consults the k-table, and persisted

@@ -22,8 +22,8 @@ two certified-equal shapes (DESIGN.md §15): when the method's
 fixed-point certification passed (``cm.fold_q`` truthy), straight-line
 cost chains fold to one scaled-integer constant per flush point — exact
 because every charge lies on the 2**-20 grid where float addition never
-rounds; otherwise (``REPRO_FIXEDCOST=0``, or a genuinely dirty injected
-cost) float adds are emitted per-op, in the same order, on a local
+rounds; otherwise (a genuinely dirty injected cost, which fails
+certification) float adds are emitted per-op, in the same order, on a local
 accumulator — never pre-summed, because float addition is
 non-associative off the grid.  ``tests/test_blockjit.py`` proves the
 contract across all bundled workloads.
@@ -67,7 +67,6 @@ from repro.vm.interpreter import (
     OP_BINI,
     OP_CALL,
     OP_CONST,
-    OP_CONSTBIN,
     OP_EMIT,
     OP_MOVE,
     OP_NEG,
@@ -78,7 +77,6 @@ from repro.vm.interpreter import (
     OP_PEPINIT,
     OP_YIELD,
     T_BR,
-    T_BRCMP,
     T_JMP,
     T_RET,
     _MAX_ARRAY,
@@ -170,23 +168,19 @@ def _mask(counted) -> int:
     return int(counted or 0)
 
 
-def _edge_origins(cm: CompiledMethod) -> List[object]:
-    """Edge-instrumentation origin objects, in deterministic block order.
+def counted_branches(cm: CompiledMethod) -> List[Tuple[str, object]]:
+    """``(block label, origin)`` of every edge-instrumented branch, in
+    block order.
 
-    Codegen names them positionally (``_og0``, ``_og1``, ...); this
-    traversal must match the one in :func:`generate_source` so a
-    namespace built for *persisted* source still binds the right
-    objects.
+    Codegen names the origins positionally (``_og0``, ``_og1``, ...) and
+    the namespace binds them by the same index, so this one traversal is
+    what keeps persisted sources and fresh namespaces in agreement.
     """
-    origins: List[object] = []
-    for block in cm.blocks.values():
-        term = block.term
-        t = term[0]
-        if t == T_BR and term[10]:
-            origins.append(term[9])
-        elif t == T_BRCMP and term[15]:
-            origins.append(term[14])
-    return origins
+    return [
+        (block.label, block.term[9])
+        for block in cm.blocks.values()
+        if block.term[0] == T_BR and block.term[10]
+    ]
 
 
 class _Segment:
@@ -198,9 +192,8 @@ class _Segment:
     accumulator reads :meth:`cyc_expr` — one folded constant per chain.
     Certification (``CompiledMethod.fold_q``) guarantees the fold is
     bit-identical; with ``fixed`` off, ``pending`` stays empty and
-    ``cyc_expr`` degenerates to the literal ``_cyc``, so every legacy
-    emission site can read it unconditionally without changing a byte
-    of the legacy source.
+    ``cyc_expr`` degenerates to the literal ``_cyc``, so every emission
+    site can read it unconditionally.
     """
 
     def __init__(self) -> None:
@@ -270,16 +263,14 @@ class _MethodCodegen:
         self.blocks = list(cm.blocks.values())
         self.block_index = {block.label: bi for bi, block in enumerate(self.blocks)}
         # Edge-origin globals are named by *block order* (the traversal
-        # of :func:`_edge_origins`, which `_namespace` re-runs to bind
+        # of :func:`counted_branches`, which `_namespace` re-runs to bind
         # them), never by segment emission order — layout advice may
         # emit hot segments first, but ``_og{j}`` must keep meaning the
-        # j-th counted branch of the method.
-        self._origin_names: Dict[str, str] = {}
-        for block in self.blocks:
-            term = block.term
-            t = term[0]
-            if (t == T_BR and term[10]) or (t == T_BRCMP and term[15]):
-                self._origin_names[block.label] = f"_og{len(self._origin_names)}"
+        # j-th counted branch of the method.  The tracefast backend
+        # shares this map: its code execs into the same namespace.
+        self._origin_names: Dict[str, str] = {
+            label: f"_og{j}" for j, (label, _) in enumerate(counted_branches(cm))
+        }
         # Resolved once so a method's segments all share one yieldpoint
         # style; the style is baked into the source text, which is what
         # the codecache keys (via the resolved samplefast flag) address.
@@ -371,19 +362,6 @@ class _MethodCodegen:
             b = seg.rd(op[5])
             self._guards_reg(seg, op[2], b, label, j)
             seg.emit(f"{seg.wr(op[3])} = {_bin_expr(op[2], a, b)}")
-        elif c == OP_CONSTBIN:
-            # Const write first (its register may alias the other
-            # operand or the destination), exactly as unfused.
-            cv = op[4]
-            seg.emit(f"{seg.wr(op[3])} = {cv!r}")
-            other = seg.rd(op[6])
-            if op[7]:  # const on the left; runtime guard on the right
-                self._guards_reg(seg, op[2], other, label, j)
-                expr = _bin_expr(op[2], repr(cv), other)
-            else:
-                self._guards_imm(seg, op[2], cv, label, j)
-                expr = _bin_expr(op[2], other, repr(cv))
-            seg.emit(f"{seg.wr(op[5])} = {expr}")
         elif c == OP_NEG:
             src = seg.rd(op[3])
             seg.emit(f"{seg.wr(op[2])} = -{src}")
@@ -615,36 +593,6 @@ class _MethodCodegen:
                 origin if mask & 2 else None, term[11], term[6],
             )
             seg.pending = []
-        elif t == T_BRCMP:
-            k = term[2]
-            if k < 0:
-                # const->br form: the branch reads an already-live
-                # register (read happens before the const write in the
-                # unfused order; fusion guarantees the registers differ).
-                tvar = seg.rd(term[3])
-            else:
-                a = seg.rd(term[4])
-                b = repr(term[5]) if term[6] else seg.rd(term[5])
-                seg.emit(
-                    f"{seg.wr(term[3])} = 1 if {a} {_cmp_text(k)} {b} else 0"
-                )
-                tvar = f"r{term[3]}"
-            seg.emit(f"{seg.wr(term[7])} = {term[8]!r}")
-            mask = _mask(term[15])
-            origin = self._origin_names.get(block.label)
-            shared = list(seg.pending)
-            seg.emit(f"if {tvar} {_cmp_text(term[9])} {term[8]!r}:")
-            self._gen_arm(
-                seg, True, term[12], term[13],
-                origin if mask & 1 else None, term[16], term[10],
-            )
-            seg.pending = list(shared)
-            seg.emit("else:")
-            self._gen_arm(
-                seg, False, term[12], term[13],
-                origin if mask & 2 else None, term[16], term[11],
-            )
-            seg.pending = []
         else:  # pragma: no cover - lowering emits only known terminators
             raise VMError(f"blockjit cannot compile terminator {t}")
 
@@ -690,7 +638,7 @@ def _namespace(cm: CompiledMethod) -> dict:
     }
     for bi, block in enumerate(cm.blocks.values()):
         ns[f"_blk{bi}"] = block
-    for j, origin in enumerate(_edge_origins(cm)):
+    for j, (_, origin) in enumerate(counted_branches(cm)):
         ns[f"_og{j}"] = origin
     return ns
 

@@ -34,7 +34,6 @@ from repro.bytecode.disasm import format_instr, format_terminator
 from repro.bytecode.method import Method, Program
 from repro.profiling.edges import EdgeProfile
 from repro.util.flags import (
-    fixedcost_enabled,
     kblpp_enabled,
     kblpp_k,
     pgo_inline_enabled,
@@ -80,7 +79,7 @@ DEFAULT_BOUND = 2048
 # Format 7: CompiledMethod pickles additionally carry the fixed-point
 # fold verdict (``fold_q``, DESIGN.md §15) which selects the persisted
 # ``jit_source``/``sb_source`` chain shape, the keys gained the
-# resolved ``REPRO_FIXEDCOST``/``REPRO_WARMJIT`` flags, the ``sb_*``
+# resolved fixed-cost and warm-ladder flags, the ``sb_*``
 # slots may carry warm token ladders (``sb_path == -1``), and
 # ``sb_fingerprint`` folds in the fold verdict.  Format-6 entries
 # predate all of that (and the recalibrated dyadic tier multipliers
@@ -93,7 +92,12 @@ DEFAULT_BOUND = 2048
 # revives under a different k (or with the tier off) via a key hit.
 # Format-7 entries predate the encoding, so a format-7 cache loaded
 # under format 8 is dropped wholesale.
-_FORMAT = 8
+# Format 9: one codegen path.  The keys lost their ``fuse`` and
+# ``fixedcost`` fields (superinstruction fusion and the legacy fold gate
+# are gone) and ``sb_fingerprint`` lost its tracefast-flag component
+# (tracefast is the only trace backend), so a format-8 cache loaded
+# under format 9 is dropped wholesale.
+_FORMAT = 9
 
 
 # -- fingerprints -----------------------------------------------------------
@@ -178,7 +182,6 @@ def optimize_key(
     version: int,
     costs: CostModel,
     edge_profile: Optional[EdgeProfile],
-    fuse: Optional[bool] = None,
     samplefast: Optional[bool] = None,
     min_coverage: bool = False,
 ) -> tuple:
@@ -192,7 +195,6 @@ def optimize_key(
         version,
         fingerprint_costs(costs),
         fingerprint_profile(edge_profile),
-        fuse,
         samplefast_enabled(samplefast),
         # Resolved PGO components (format 6): layout advice shapes the
         # persisted jit_source, and the probe-placement bit decides the
@@ -200,11 +202,8 @@ def optimize_key(
         pgo_layout_enabled(),
         pgo_inline_enabled(),
         bool(min_coverage),
-        # Resolved fixed-point / warm-ladder components (format 7): the
-        # fold verdict is taken at lowering and baked into every
-        # generated source's chain shape, and a persisted warm ladder
-        # must never revive under REPRO_WARMJIT=0 via a key hit.
-        fixedcost_enabled(),
+        # Resolved warm-ladder component (format 7): a persisted warm
+        # ladder must never revive under REPRO_WARMJIT=0 via a key hit.
         warmjit_enabled(),
         # Resolved k-iteration components (format 8): a cached method
         # may carry a k-trace in its sb_* slots, and the window width
@@ -219,7 +218,6 @@ def baseline_key(
     method: Method,
     version: int,
     costs: CostModel,
-    fuse: Optional[bool] = None,
     samplefast: Optional[bool] = None,
 ) -> tuple:
     return (
@@ -227,15 +225,12 @@ def baseline_key(
         fingerprint_method(method),
         version,
         fingerprint_costs(costs),
-        fuse,
         samplefast_enabled(samplefast),
         # Baseline compilation takes no PGO advice (no profile exists
         # yet), but its jit_source is still emitted layout-aware when
         # the flag is on (canonical order, byte-identical source) — the
         # resolved flag keeps the keyspace aligned with optimize_key.
         pgo_layout_enabled(),
-        # Format 7: the fold verdict shapes baseline jit_source too.
-        fixedcost_enabled(),
     )
 
 

@@ -37,7 +37,7 @@ transforms, each behind its own flag and each bit-identical on/off:
 
 Advice is *content*: it rides pickled CompiledMethods through the
 codecache, resolved PGO flags participate in the cache keys (format 6),
-and :func:`pgo_fingerprint` folds the advice into superblock/tracefast
+and :func:`pgo_fingerprint` folds the advice into trace
 fingerprints so a flag flip or advice change drops stale generated
 sources wholesale instead of replaying them.
 """
@@ -58,7 +58,6 @@ from repro.util.rng import stable_hash
 from repro.vm.interpreter import (
     OP_CALL,
     T_BR,
-    T_BRCMP,
     T_JMP,
     T_RET,
     CompiledMethod,
@@ -97,15 +96,9 @@ def layout_order(
     if profile is not None:
         for block in cm.blocks.values():
             term = block.term
-            t = term[0]
-            if t == T_BR:
-                origin, then_blk, else_blk = term[9], term[5], term[6]
-            elif t == T_BRCMP:
-                origin, then_blk, else_blk = term[14], term[10], term[11]
-            else:
+            if term[0] != T_BR or term[9] is None:
                 continue
-            if origin is None:
-                continue
+            origin, then_blk, else_blk = term[9], term[5], term[6]
             heat[then_blk.label] += profile.arm_count(origin, True)
             heat[else_blk.label] += profile.arm_count(origin, False)
     index = {label: i for i, label in enumerate(labels)}
@@ -221,8 +214,6 @@ def _valid_inline_chain(callee: CompiledMethod, labels) -> bool:
             ok = term[2].label == nxt
         elif t == T_BR:
             ok = term[5].label == nxt or term[6].label == nxt
-        elif t == T_BRCMP:
-            ok = term[10].label == nxt or term[11].label == nxt
         else:
             ok = False
         if not ok:
@@ -488,15 +479,11 @@ def lowered_branch_origins(cm: CompiledMethod) -> List[object]:
     still records its reconstructed count into the shared edge profile
     at drain time, so mere presence makes the origin observable.
     """
-    origins: List[object] = []
-    for block in cm.blocks.values():
-        term = block.term
-        t = term[0]
-        if t == T_BR and term[9] is not None:
-            origins.append(term[9])
-        elif t == T_BRCMP and term[14] is not None:
-            origins.append(term[14])
-    return origins
+    return [
+        block.term[9]
+        for block in cm.blocks.values()
+        if block.term[0] == T_BR and block.term[9] is not None
+    ]
 
 
 def shared_origin_fallbacks(code: Dict[str, CompiledMethod]) -> Set[str]:
@@ -652,7 +639,6 @@ def engagement_summary(code: Dict[str, CompiledMethod]) -> dict:
     methods = {}
     totals = {
         "blockjit_methods": 0,
-        "superblock_installs": 0,
         "tracefast_installs": 0,
         "warmjit_installs": 0,
         "pgo_inline_sites": 0,
@@ -662,23 +648,15 @@ def engagement_summary(code: Dict[str, CompiledMethod]) -> dict:
         # Fixed-point fold coverage (DESIGN.md §15): methods whose
         # lowering certified the Q20 grid vs. methods that fell back to
         # float chains.  ``fold_rejected`` should be 0 under the
-        # default cost model (the bench gates fold_coverage == 1.0);
-        # ``fold_legacy`` counts methods lowered with the
-        # REPRO_FIXEDCOST kill switch off.
+        # default cost model (the bench gates fold_coverage == 1.0).
         "fold_certified": 0,
         "fold_rejected": 0,
-        "fold_legacy": 0,
     }
     for name in sorted(code):
         cm = code[name]
         backend = None
         if cm.sb_source is not None:
-            if cm.sb_path == -1:
-                backend = "warm-ladder"
-            elif "def _m(" in cm.sb_source:
-                backend = "tracefast"
-            else:
-                backend = "superblock"
+            backend = "warm-ladder" if cm.sb_path == -1 else "tracefast"
         probe_mode = None
         if cm.probe_plan is not None:
             probe_mode = "min-coverage"
@@ -688,8 +666,7 @@ def engagement_summary(code: Dict[str, CompiledMethod]) -> dict:
         else:
             for block in cm.blocks.values():
                 term = block.term
-                t = term[0]
-                mask = term[10] if t == T_BR else term[15] if t == T_BRCMP else 0
+                mask = term[10] if term[0] == T_BR else 0
                 if mask:
                     probe_mode = "full"
                     totals["probes_placed"] += bin(mask).count("1")
@@ -699,15 +676,9 @@ def engagement_summary(code: Dict[str, CompiledMethod]) -> dict:
             totals["blockjit_methods"] += 1
         if backend == "tracefast":
             totals["tracefast_installs"] += 1
-        elif backend == "superblock":
-            totals["superblock_installs"] += 1
         elif backend == "warm-ladder":
             totals["warmjit_installs"] += 1
-        fold = (
-            "certified" if cm.fold_q
-            else "legacy" if cm.fold_q is None
-            else "rejected"
-        )
+        fold = "certified" if cm.fold_q else "rejected"
         totals[f"fold_{fold}"] += 1
         totals["pgo_inline_sites"] += inline_sites
         methods[name] = {

@@ -1,11 +1,10 @@
-"""Slotted-frame trace backend: whole-method token-dispatch codegen.
+"""The trace tier: whole-method token-dispatch codegen.
 
-The second codegen tier behind the blockjit template contract
-(DESIGN.md §13).  Where plain blockjit compiles one function per
-(block, entry-ip) segment — reloading registers from ``frame.regs`` and
-re-reading ``st.cyc``/``st.fuel`` at every segment boundary — and the
-§11 superblock straight-lines only the dominant loop trace, tracefast
-compiles the *entire method* into ONE generated function ``_m``:
+The one codegen backend above blockjit (DESIGN.md §13).  Where plain
+blockjit compiles one function per (block, entry-ip) segment —
+reloading registers from ``frame.regs`` and re-reading
+``st.cyc``/``st.fuel`` at every segment boundary — tracefast compiles
+the *entire method* into ONE generated function ``_m``:
 
 * every register the method touches is loaded into a local once at
   entry and written back only at real frame boundaries (guest calls);
@@ -14,16 +13,19 @@ compiles the *entire method* into ONE generated function ``_m``:
 * control transfers between blocks become ``_e = token; continue``
   against a flat token ladder inside one ``while True`` — the driver
   trampoline is entered only for guest calls and returns;
-* the dominant Ball-Larus loop trace is inlined as the ladder's first
-  arm with its own inner ``while True`` (exactly the §11 superblock
-  shape), but side exits are just ``_e = token; break`` — no register
-  writebacks, because the off-trace blocks live in the same function;
+* the dominant Ball-Larus loop trace selected by
+  :mod:`repro.vm.superblock` is inlined as the ladder's first arm with
+  its own inner ``while True``; side exits are just
+  ``_e = token; break`` — no register writebacks, because the off-trace
+  blocks live in the same function;
 * straight-line costs are *batched*: per-op cost adds accumulate into
-  one left-associated chain ``_cyc = (_cyc + c1 + ... + ck)`` flushed
-  at yieldpoints and control transfers — bit-identical to k sequential
-  ``+=`` adds because the chain performs the same float additions in
-  the same order (cold paths — traps, fuel exhaustion — take the
-  pending chain inline, so the hot path never flushes early);
+  one pending chain flushed at yieldpoints and control transfers.  When
+  lowering certified the method on the fixed-point grid
+  (``cm.fold_q``, DESIGN.md §15) each chain folds to one constant;
+  otherwise it stays a left-associated textual chain
+  ``_cyc = (_cyc + c1 + ... + ck)``, bit-identical to k sequential
+  ``+=`` adds (cold paths — traps, fuel exhaustion — take the pending
+  chain inline, so the hot path never flushes early);
 * PEP path-register adds fold to a single integer add on a local
   ``_pr`` (exact: path registers are ints), stored to the frame only at
   calls; runs of immediate add/sub register arithmetic on one register
@@ -33,26 +35,25 @@ compiles the *entire method* into ONE generated function ``_m``:
   driver, the segment tables, and in-flight plain-segment successor
   returns all keep working with zero driver changes.
 
+Methods that stay warm without a dominant path get the same ``_m`` with
+no trace arm (the warm ladder, ``WARM_PATH``); k-iteration traces
+(DESIGN.md §16) are ordinary traces whose block list repeats the loop.
+
 Bit-identity contract
 ---------------------
 Identical to blockjit's: virtual cycles stay float-exact, path/edge
 profiles, traps (messages + locations + cycle counts), fuel accounting
 (charged per block (re)entry), emitted output, and fault-injection
-ordering are unchanged.  ``tests/test_tracefast.py`` proves equality
-across all bundled workloads, with and without fault plans.
+ordering are unchanged.  ``tests/test_tracefast.py`` checks the default
+pipeline against the tuple interpreter on every bundled workload and on
+generated programs.
 
-Tier selection and persistence
-------------------------------
-``REPRO_TRACEFAST`` (via :mod:`repro.util.flags`) picks the backend
-*inside* :func:`repro.vm.superblock.install_superblock`: promotion
-policy, advice carry-over, and the codecache artefact contract
-(``sb_source``/``sb_path``/``sb_fingerprint``, format 5) are shared
-with the superblock tier.  The fingerprint hashes the resolved
-tracefast flag, so artefacts generated by one backend never reinstall
-under the other — a flag flip misses cleanly, exactly like stale
-advice.  An optional AOT sub-tier (:mod:`repro.vm.aot`) compiles the
-generated module natively when a toolchain exists; any failure falls
-back to the pure-Python ``exec`` path.
+Persistence
+-----------
+The source, its path number and its fingerprint live in the
+``sb_source``/``sb_path``/``sb_fingerprint`` slots that
+:func:`repro.vm.superblock.reinstall_persisted` revalidates on warm
+codecache loads.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from repro.errors import VMError
 from repro.util.flags import (
     pgo_inline_enabled,
     pgo_layout_enabled,
-    tracefast_aot_enabled,
     warmjit_enabled,
 )
 from repro.vm.blockjit import (
@@ -75,6 +75,7 @@ from repro.vm.blockjit import (
     _cmp_text,
     _entry_ips,
     _mask,
+    counted_branches,
     ensure_jit,
 )
 from repro.vm.interpreter import (
@@ -85,13 +86,12 @@ from repro.vm.interpreter import (
     OP_PEPINIT,
     OP_YIELD,
     T_BR,
-    T_BRCMP,
     T_JMP,
     T_RET,
     CompiledMethod,
     LoweredBlock,
 )
-from repro.vm.superblock import _origin_names
+from repro.vm.superblock import superblock_fingerprint, trace_blocks
 
 
 #: Sentinel ``sb_path`` for the warm-method token ladder (DESIGN.md
@@ -99,68 +99,8 @@ from repro.vm.superblock import _origin_names
 #: plain ladder arms only, laid out in ``pgo_layout`` order.  Persisted
 #: through the same ``sb_source``/``sb_path``/``sb_fingerprint`` slots
 #: as real traces; :func:`repro.vm.superblock.trace_blocks` rejects it
-#: (no Ball-Larus path numbered -1 exists), which is what keeps the
-#: classic superblock backend from ever consuming warm artefacts.
+#: (no Ball-Larus path numbered -1 exists).
 WARM_PATH = -1
-
-
-#: Cost constants are "clean" when they are exact multiples of 2**-12
-#: with bounded magnitude: sums of such values stay exactly
-#: representable far past any inter-flush accumulation (< 2**41), so
-#: float addition over them is associative and a chain of adds can fold
-#: to one compile-time constant without moving a single bit.
-_GRANULE = 4096.0
-_GRANULE_BOUND = 2.0**24
-
-
-def _clean_const(v: float) -> bool:
-    try:
-        return abs(v) <= _GRANULE_BOUND and (v * _GRANULE).is_integer()
-    except (TypeError, OverflowError):
-        return False
-
-
-def _fold_safe(cm: CompiledMethod, costs) -> bool:
-    """True when chain folding is provably bit-identical for ``cm``.
-
-    Two sources feed ``_cyc`` between a yieldpoint's zero-flush and the
-    next flush: this method's own lowered cost constants (scanned
-    directly — tier multipliers are already baked into them) and the
-    runtime handler charges a yieldpoint can add (sampler stride/sample
-    /expansion, the per-tick method sample, and listener-charged compile
-    cycles).  If every one is a clean 2**-12 dyadic, ``_cyc`` is always
-    a clean dyadic at those points and folding is exact.  Dirty values
-    from *other* methods' tiers (e.g. the 1.15 opt0 multiplier) only
-    arrive through ``st.cyc`` at method entry / call resume, which the
-    codegen tracks separately (chains based there never fold).
-    """
-    for block in cm.blocks.values():
-        for op in block.ops:
-            if not _clean_const(op[1]):
-                return False
-        term = block.term
-        if term is None:
-            continue
-        kind = term[0]
-        checks = [term[1]]
-        if kind == T_BR:
-            checks += [term[8], term[11]]
-        elif kind == T_BRCMP:
-            checks += [term[13], term[16]]
-        if not all(_clean_const(v) for v in checks):
-            return False
-    try:
-        handler_values = [
-            costs.scaled_handler(costs.handler_stride),
-            costs.scaled_handler(costs.handler_sample),
-            costs.scaled_handler(costs.handler_expand_first),
-            costs.scaled_handler(costs.handler_method_sample),
-            costs.pep_pass_cost_per_instr,
-            *costs.compile_cost_per_instr.values(),
-        ]
-    except (AttributeError, ZeroDivisionError, TypeError):
-        return False
-    return all(_clean_const(v) for v in handler_values)
 
 
 class _TfSeg(_Segment):
@@ -170,48 +110,26 @@ class _TfSeg(_Segment):
     ``pep`` holds folded path-register increments not yet applied to
     ``_pr``.  ``base`` shifts the emit indent so the blockjit op/guard
     emitters (which write at relative depth 1/2) can be reused inside
-    arbitrarily nested ladder arms.  ``fold`` enables compile-time chain
-    folding (see :func:`_fold_safe`); ``clean`` tracks whether ``_cyc``
-    is known to be a clean dyadic at the current emission point, and
-    ``chain_clean`` freezes that state at the moment the current pending
-    chain started (the chain's base is what must be clean to fold).
+    arbitrarily nested ladder arms.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        self.pending: List[float] = []
         self.pep: int = 0
         self.base: int = 0
-        self.fold = False
-        self.clean = False
-        self.chain_clean = False
 
     def cyc_expr(self) -> str:
         """The value ``_cyc`` *would* hold if pending costs flushed now.
 
-        Left-associated, so ``(_cyc + c1 + c2)`` performs bit-identical
-        float adds to blockjit's eager ``_cyc += c1; _cyc += c2``.  When
-        folding is safe (clean base, clean constants — all additions
-        exact, hence associative) the chain collapses to one constant
-        computed in exact integer arithmetic.
-
-        Under fixed-point accounting (``fixed``; DESIGN.md §15) the
-        base class folds *every* multi-term chain on the Q20 grid — no
-        cleanliness gate, no chain-base tracking: lowering certified the
-        whole cost universe, so ``_cyc`` is grid-valued everywhere.
+        Under fixed-point accounting (``fixed``; DESIGN.md §15) the base
+        class folds every multi-term chain on the Q20 grid: lowering
+        certified the whole cost universe, so ``_cyc`` is grid-valued
+        everywhere.  Otherwise the chain stays textual and
+        left-associated, so ``(_cyc + c1 + c2)`` performs bit-identical
+        float adds to blockjit's eager ``_cyc += c1; _cyc += c2``.
         """
-        if not self.pending:
-            return "_cyc"
-        if self.fixed:
+        if self.fixed or not self.pending:
             return super().cyc_expr()
-        if (
-            self.fold
-            and self.chain_clean
-            and len(self.pending) > 1
-            and all(_clean_const(c) for c in self.pending)
-        ):
-            total = sum(int(c * _GRANULE) for c in self.pending) / _GRANULE
-            return f"(_cyc + {total!r})"
         chain = " + ".join(repr(c) for c in self.pending)
         return f"(_cyc + {chain})"
 
@@ -228,8 +146,6 @@ class _TfSeg(_Segment):
 
     def cost(self, amount: float, depth: int = 1) -> None:
         if amount != 0.0:
-            if not self.pending:
-                self.chain_clean = self.clean
             self.pending.append(amount)
 
     def flush_cyc(self, depth: int = 1) -> None:
@@ -237,17 +153,6 @@ class _TfSeg(_Segment):
             self.body.append(
                 "    " * (depth + self.base) + f"_cyc = {self.cyc_expr()}"
             )
-            # A flushed chain becomes the next chain's base, which stays
-            # a clean dyadic only if every merged constant was clean.  A
-            # no-op for this method's own constants once `_fold_safe`
-            # certified them; it matters for *inlined callee* constants
-            # (DESIGN.md §14), whose tiers may bake in dirty multipliers.
-            # Irrelevant under fixed-point accounting: certification is
-            # global, so the Q12 cleanliness ratchet never consults it.
-            if not self.fixed and not all(
-                _clean_const(c) for c in self.pending
-            ):
-                self.clean = False
             self.pending = []
 
     def flush_pep(self, depth: int = 1) -> None:
@@ -300,10 +205,6 @@ def _emit_yield(cg: _MethodCodegen, seg: _TfSeg, op: tuple) -> None:
     seg.flush_pep()
     expr = seg.cyc_expr()
     seg.pending = []
-    # After the flush ``_cyc`` restarts from 0.0 plus (rarely) handler
-    # charges — all certified clean dyadics whenever folding is enabled,
-    # so chains based here may fold.
-    seg.clean = True
     if cg._samplefast:
         seg.emit(f"_t = vm.cycles + {expr}")
         seg.emit("vm.cycles = _t")
@@ -437,21 +338,18 @@ def _site_token(k: int, callee: CompiledMethod) -> str:
 
 def _inline_origin_names(callee: CompiledMethod, k) -> Dict[str, str]:
     """Callee block label -> positional ``_iog{k}_{m}`` namespace name
-    (the traversal mirrors :func:`blockjit._edge_origins`)."""
-    names: Dict[str, str] = {}
-    for block in callee.blocks.values():
-        term = block.term
-        t = term[0]
-        if (t == T_BR and term[10]) or (t == T_BRCMP and term[15]):
-            names[block.label] = f"_iog{k}_{len(names)}"
-    return names
+    (bound by :func:`_inline_namespace` from the same traversal)."""
+    return {
+        label: f"_iog{k}_{m}"
+        for m, (label, _) in enumerate(counted_branches(callee))
+    }
 
 
 def _inline_namespace(cm: CompiledMethod) -> dict:
     """Extra globals the inline splices reference: the guard identity
     ``_icm{k}`` and the callee's edge-origin objects ``_iog{k}_{m}``.
     Bound whenever advice exists — harmless for sources generated with
-    inlining off, and required for persisted/AOT sources that embed it."""
+    inlining off, and required for persisted sources that embed it."""
     ns: dict = {}
     advice = cm.pgo_inline
     if not advice:
@@ -460,16 +358,8 @@ def _inline_namespace(cm: CompiledMethod) -> dict:
         callee = advice[site].callee_cm
         t = _site_token(k, callee)
         ns[f"_icm{t}"] = callee
-        m = 0
-        for block in callee.blocks.values():
-            term = block.term
-            tt = term[0]
-            if tt == T_BR and term[10]:
-                ns[f"_iog{t}_{m}"] = term[9]
-                m += 1
-            elif tt == T_BRCMP and term[15]:
-                ns[f"_iog{t}_{m}"] = term[14]
-                m += 1
+        for m, (_, origin) in enumerate(counted_branches(callee)):
+            ns[f"_iog{t}_{m}"] = origin
     return ns
 
 
@@ -565,25 +455,6 @@ def _emit_inline_term(
         arms = [
             (True, term[7], term[8], term[11], term[5]),
             (False, term[7], term[8], term[11], term[6]),
-        ]
-    elif t == T_BRCMP:
-        kk = term[2]
-        if kk < 0:
-            tvar = iseg.rd(term[3])
-        else:
-            a = iseg.rd(term[4])
-            b = repr(term[5]) if term[6] else iseg.rd(term[5])
-            iseg.emit(
-                f"{iseg.wr(term[3])} = 1 if {a} {_cmp_text(kk)} {b} else 0"
-            )
-            tvar = f"_i{k}r{term[3]}"
-        iseg.emit(f"{iseg.wr(term[7])} = {term[8]!r}")
-        mask = _mask(term[15])
-        origin = origin_names.get(block.label)
-        cond = f"if {tvar} {_cmp_text(term[9])} {term[8]!r}:"
-        arms = [
-            (True, term[12], term[13], term[16], term[10]),
-            (False, term[12], term[13], term[16], term[11]),
         ]
     else:  # pragma: no cover - inline_path_blocks validated these
         raise VMError(f"tracefast cannot inline terminator {t}")
@@ -733,7 +604,6 @@ def _emit_inline_call(
     seg.flush_pep()
     seg.emit("frame.path_reg = _pr")
     shared = list(seg.pending)
-    shared_state = (seg.clean, seg.chain_clean)
     seg.emit(f"if _c is _icm{k}:")
     seg.base += 1
     # Frame push — caller context, identical to the normal tail's (the
@@ -758,19 +628,15 @@ def _emit_inline_call(
     # registers the path touches, the real pass emits against that full
     # pre-bound set.
     probe = _InlineSeg(k, callee.profile_key)
-    probe.fold = seg.fold
     probe.fixed = seg.fixed
     probe.base = seg.base
     probe.pending = list(seg.pending)
-    probe.clean, probe.chain_clean = seg.clean, seg.chain_clean
     _emit_callee_path(cg, probe, seg, op, adv, k)
     iseg = _InlineSeg(k, callee.profile_key)
-    iseg.fold = seg.fold
     iseg.fixed = seg.fixed
     iseg.base = seg.base
     iseg.body = seg.body
     iseg.pending = list(seg.pending)
-    iseg.clean, iseg.chain_clean = seg.clean, seg.chain_clean
     touched = sorted(probe._bound | probe.dirty)
     iseg._bound = set(touched)
     iseg.dirty = set(probe.dirty)
@@ -780,13 +646,11 @@ def _emit_inline_call(
         iseg.raw(f"_i{k}r{reg} = _nr[{reg}]")
     iseg.emit("_pr = 0")
     _emit_callee_path(cg, iseg, seg, op, adv, k)
-    inline_end = (iseg.pending, iseg.clean, iseg.chain_clean)
     seg.base -= 1
     # The guard-miss arm: the normal-call tail, byte for byte what
     # _gen_call_tf emits after the lookup (cost, lookup, and caller
     # resume stores already happened above, shared by both arms).
     seg.pending = list(shared)
-    seg.clean, seg.chain_clean = shared_state
     seg.emit("else:")
     seg.base += 1
     seg.emit("if _c is None:")
@@ -820,7 +684,7 @@ def _emit_inline_call(
     # returned).  Charging the caller block's remaining fuel here is
     # exactly the plain call-resume arm's ``n - ip + 1`` with
     # ``ip = j + 1``, so fuel accounting stays bit-identical.
-    seg.pending, seg.clean, seg.chain_clean = inline_end
+    seg.pending = iseg.pending
     n = len(block.ops)
     seg.emit(f"_fuel = _fuel - {n - j}")
     seg.emit("if _fuel < 0:")
@@ -901,36 +765,6 @@ def _gen_term_plain(
         _exit_arm_plain(
             cg, seg, False, term[7], term[8],
             origin if mask & 2 else None, term[11], term[6], tokens,
-        )
-        seg.pending = []
-        seg.pep = 0
-    elif t == T_BRCMP:
-        k = term[2]
-        if k < 0:
-            # const->br form: branch register read precedes the const
-            # write, exactly as the unfused order demands.
-            tvar = seg.rd(term[3])
-        else:
-            a = seg.rd(term[4])
-            b = repr(term[5]) if term[6] else seg.rd(term[5])
-            seg.emit(f"{seg.wr(term[3])} = 1 if {a} {_cmp_text(k)} {b} else 0")
-            tvar = f"r{term[3]}"
-        seg.emit(f"{seg.wr(term[7])} = {term[8]!r}")
-        mask = _mask(term[15])
-        origin = origin_names.get(block.label)
-        shared = list(seg.pending)
-        shared_pep = seg.pep
-        seg.emit(f"if {tvar} {_cmp_text(term[9])} {term[8]!r}:")
-        _exit_arm_plain(
-            cg, seg, True, term[12], term[13],
-            origin if mask & 1 else None, term[16], term[10], tokens,
-        )
-        seg.pending = list(shared)
-        seg.pep = shared_pep
-        seg.emit("else:")
-        _exit_arm_plain(
-            cg, seg, False, term[12], term[13],
-            origin if mask & 2 else None, term[16], term[11], tokens,
         )
         seg.pending = []
         seg.pep = 0
@@ -1020,23 +854,6 @@ def _emit_trace_term_tf(
         arms = [
             (True, term[7], term[8], term[11], term[5]),
             (False, term[7], term[8], term[11], term[6]),
-        ]
-    elif t == T_BRCMP:
-        k = term[2]
-        if k < 0:
-            tvar = seg.rd(term[3])
-        else:
-            a = seg.rd(term[4])
-            b = repr(term[5]) if term[6] else seg.rd(term[5])
-            seg.emit(f"{seg.wr(term[3])} = 1 if {a} {_cmp_text(k)} {b} else 0")
-            tvar = f"r{term[3]}"
-        seg.emit(f"{seg.wr(term[7])} = {term[8]!r}")
-        mask = _mask(term[15])
-        origin = origin_names.get(block.label)
-        cond = f"if {tvar} {_cmp_text(term[9])} {term[8]!r}:"
-        arms = [
-            (True, term[12], term[13], term[16], term[10]),
-            (False, term[12], term[13], term[16], term[11]),
         ]
     else:  # pragma: no cover - trace_blocks validated the terminators
         raise VMError(f"tracefast cannot compile terminator {t}")
@@ -1199,8 +1016,6 @@ def _warm_layout(cm: CompiledMethod) -> Dict[str, int]:
             succ[label] = [term[2].label]
         elif t == T_BR:
             succ[label] = [term[5].label, term[6].label]
-        elif t == T_BRCMP:
-            succ[label] = [term[10].label, term[11].label]
         else:
             succ[label] = []
     pred: Dict[str, list] = {label: [] for label in order}
@@ -1227,7 +1042,7 @@ def _warm_layout(cm: CompiledMethod) -> Dict[str, int]:
 
 
 def generate_method_source(
-    cm: CompiledMethod, trace: Optional[List[LoweredBlock]], costs=None
+    cm: CompiledMethod, trace: Optional[List[LoweredBlock]]
 ) -> str:
     """Generate the whole-method tracefast source (a pure function of
     the lowered blocks, the trace order, the resolved samplefast/PGO
@@ -1236,14 +1051,10 @@ def generate_method_source(
     fingerprint hashes :func:`repro.vm.pgo.pgo_fingerprint` over the
     advice and resolved flags plus ``cm.fold_q``).
 
-    Cost-chain handling is a three-way mode keyed on ``cm.fold_q``
-    (DESIGN.md §15): fixed-point accounting when lowering certified the
-    grid (every chain folds, no gate), the legacy ``_fold_safe`` Q12
-    gate when lowering predates the grid (``fold_q is None`` — the
-    ``REPRO_FIXEDCOST=0`` kill switch), and pure textual chains when
-    certification rejected the method (``fold_q == 0``).  ``costs=None``
-    disables legacy folding (conservative: parity is unconditional
-    either way).
+    Cost-chain handling is keyed on ``cm.fold_q`` (DESIGN.md §15):
+    every chain folds when lowering certified the method on the grid,
+    and chains stay textual when certification rejected it
+    (``fold_q == 0``).
 
     ``trace=None`` emits the *warm ladder* (``WARM_PATH``): the same
     token-dispatch ``_m`` with no trace arm — every entry is a plain
@@ -1253,8 +1064,6 @@ def generate_method_source(
     entries_list = _entries_list(cm)
     tokens = entry_tokens(cm)
     head_label = trace[0].label if trace else None
-    fold_q = cm.fold_q
-    fold_ok = fold_q is None and costs is not None and _fold_safe(cm, costs)
     inline_sites: Dict[Tuple[str, int], tuple] = {}
     if cm.pgo_inline and pgo_inline_enabled():
         inline_sites = {
@@ -1266,7 +1075,7 @@ def generate_method_source(
     # costs, which carry their own fold verdicts.  An uncertified
     # callee (possible only under targeted cost mutation; the default
     # model certifies everything) demotes this source to textual chains.
-    fixed = bool(fold_q) and all(
+    fixed = bool(cm.fold_q) and all(
         bool(adv.callee_cm.fold_q) for adv, _ in inline_sites.values()
     )
     plain_arms = [
@@ -1291,20 +1100,14 @@ def generate_method_source(
         plain_arms.sort(key=lambda e: -depth.get(e[1].label, 0))
 
     def emit_body(seg: _TfSeg) -> None:
-        origin_names = _origin_names(cm)
         cg = _MethodCodegen(cm)
-        seg.fold = fold_ok
+        origin_names = cg._origin_names
         seg.fixed = fixed
         # The trace arm comes FIRST in the ladder: a side exit `break`
         # falls out of the inner loop into the remaining token checks,
-        # so every plain arm must sit below it.  Every arm head can be
-        # reached from the prologue's `_cyc = st.cyc` load, whose value
-        # may carry another tier's dirty constants — chains based there
-        # never fold under the legacy Q12 gate (fixed-point accounting
-        # needs no such caution: the grid is certified globally).
+        # so every plain arm must sit below it.
         if trace:
             seg.base = 1
-            seg.clean = False
             seg.emit(f"if _e == {tokens[(head_label, 0)]}:")
             seg.emit("while True:", 2)
             seg.base = 3
@@ -1313,7 +1116,6 @@ def generate_method_source(
             seg.pep = 0
         for bi, block, ip in plain_arms:
             seg.base = 1
-            seg.clean = False
             seg.emit(f"if _e == {tokens[(block.label, ip)]}:")
             seg.base = 2
             _emit_plain_block(cg, seg, bi, block, ip, tokens, origin_names)
@@ -1374,7 +1176,7 @@ def install_source(
     trace: Optional[List[LoweredBlock]],
     entries: dict,
 ) -> None:
-    """Exec (or AOT-load) ``source`` and rebind every entry to it.
+    """Exec ``source`` and rebind every entry to it.
 
     All ``_f{bi}_{ip}`` names in the method's shared namespace and all
     segment-table slots are retargeted at the whole-method wrappers, so
@@ -1386,36 +1188,22 @@ def install_source(
     """
     ns = next(iter(entries.values())).__globals__
     # Inline splices reference per-site guard/origin globals beyond the
-    # blockjit namespace; bind them for exec'd sources (the AOT loader
-    # binds its module's copy itself).
+    # blockjit namespace.
     ns.update(_inline_namespace(cm))
-    loaded = None
-    if tracefast_aot_enabled():
-        from repro.vm import aot
-
-        # Any AOT failure (no toolchain, build error, import error)
-        # returns None: the pure-Python exec below is the fallback.
-        loaded = aot.load_functions(cm, source)
-    if loaded is not None:
-        ns.update(loaded)
-    else:
-        exec(_compiled(source), ns)
+    exec(_compiled(source), ns)
     for bi, block, ip in _entries_list(cm):
         entries[(block.label, ip)] = ns[f"_f{bi}_{ip}"]
     head = trace[0].label if trace else cm.entry.label
     cm.sb_entry = entries[(head, 0)]
 
 
-def install_tracefast(
-    cm: CompiledMethod, path_number: int, costs=None
-) -> bool:
-    """Tracefast twin of :func:`superblock.install_superblock`.
+def install_tracefast(cm: CompiledMethod, path_number: int) -> bool:
+    """Compile + install the whole-method source for ``path_number``.
 
-    Same promotion contract: first-wins, zero virtual cycles, no
-    profile writes, safe mid-run.  The persisted artefacts share the
-    superblock slots (``sb_source``/``sb_path``/``sb_fingerprint``) —
-    the fingerprint's resolved-tracefast component keeps the backends'
-    artefacts from ever crossing.
+    The backend behind :func:`superblock.install_superblock`: first-wins,
+    zero virtual cycles, no profile writes, safe mid-run.  The persisted
+    artefacts live in the ``sb_source``/``sb_path``/``sb_fingerprint``
+    slots.
 
     ``path_number == WARM_PATH`` installs the warm ladder (no trace
     arm).  First-wins is relaxed in exactly one direction: a real
@@ -1423,8 +1211,6 @@ def install_tracefast(
     was the consolation tier; the trace is strictly better), while a
     warm install never displaces anything.
     """
-    from repro.vm.superblock import superblock_fingerprint, trace_blocks
-
     def _settled() -> bool:
         if cm.sb_entry is None:
             return False
@@ -1453,7 +1239,7 @@ def install_tracefast(
     ):
         source = cm.sb_source
     else:
-        source = generate_method_source(cm, trace, costs)
+        source = generate_method_source(cm, trace)
     install_source(cm, source, trace, entries)
     cm.sb_source = source
     cm.sb_path = path_number

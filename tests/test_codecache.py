@@ -236,12 +236,12 @@ def test_save_is_atomic(tmp_path):
 
 
 def test_old_format_cache_dropped_wholesale(tmp_path):
-    # A cache persisted by an older format (format 6: no fixed-point
-    # fold verdict, no warm-ladder artefacts; format 7: no k-iteration
-    # trace encoding or resolved k in the keys) must not be partially
-    # reused: each bump changed what the keys/fingerprints hash, so
-    # every old entry is untrustworthy and the load drops the whole
-    # file.
+    # A cache persisted by an older format (format 7: no k-iteration
+    # trace encoding or resolved k in the keys; format 8: keys with the
+    # retired fusion/fixed-cost fields and trace fingerprints with the
+    # retired backend-flag component) must not be partially reused: each
+    # bump changed what the keys/fingerprints hash, so every old entry
+    # is untrustworthy and the load drops the whole file.
     program = counting_program(10)
     cm, cycles = _compile(program)
     path = str(tmp_path / "cache.pkl")
@@ -250,14 +250,14 @@ def test_old_format_cache_dropped_wholesale(tmp_path):
     # Rewrite the valid payload as if an old process had saved it.
     with open(path, "rb") as fh:
         payload = pickle.load(fh)
-    assert payload["format"] == codecache._FORMAT == 8
-    payload["format"] = 7
-    with open(path, "wb") as fh:
-        pickle.dump(payload, fh)
-
+    assert payload["format"] == codecache._FORMAT == 9
     fresh = codecache.CompilationCache()
-    assert fresh.load(path) == 0
-    assert len(fresh) == 0
+    for old_format in (7, 8):
+        payload["format"] = old_format
+        with open(path, "wb") as fh:
+            pickle.dump(payload, fh)
+        assert fresh.load(path) == 0
+        assert len(fresh) == 0
     # A same-format save/load still round-trips (the drop is about the
     # version stamp, not the entries).
     codecache.GLOBAL.save(path)

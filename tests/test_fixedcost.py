@@ -7,8 +7,8 @@ sequential interpreter:
   the Q20 grid (``costs.fold_clean`` over ``chargeable_values()``) and
   stamps ``cm.fold_q``; generated code then folds every straight-line
   cost chain to one constant with *no* per-constant cleanliness gate.
-  ``REPRO_FIXEDCOST=0`` reverts to the legacy gated codegen and must be
-  a pure wall-clock toggle.
+  A rejected method (``fold_q == 0``) keeps textual chains, and the two
+  shapes must agree to the bit.
 * **Warm token ladder.**  A warm method with *no* dominant path still
   compiles into a whole-method ``_m`` dispatch (``WARM_PATH == -1``),
   promoted by the controller below superblock promotion.
@@ -54,11 +54,10 @@ ALL_WORKLOADS = [w.name for w in benchmark_suite()]
 @pytest.fixture(autouse=True)
 def _isolate(monkeypatch):
     # Shared codecache entries would leak fold verdicts and warm
-    # artefacts across tests; and the CI kill-switch smokes export
-    # REPRO_FIXEDCOST=0 / REPRO_WARMJIT=0 globally, so tests about the
-    # enabled mechanisms pin the overrides themselves.
+    # artefacts across tests; and the CI kill-switch smoke exports
+    # REPRO_WARMJIT=0 globally, so tests about the enabled warm tier pin
+    # the override themselves.
     monkeypatch.setenv("REPRO_CODECACHE", "0")
-    monkeypatch.setattr(flags, "FIXEDCOST", True)
 
 
 def braided_helper_program(calls: int = 240, inner: int = 36) -> Program:
@@ -107,22 +106,22 @@ def braided_helper_program(calls: int = 240, inner: int = 36) -> Program:
 
 def _warm_run(program: Program, warm: bool, resilience=None,
               tick_interval: float = 600.0):
-    """One adaptive run with tracefast on and warmjit pinned on/off.
+    """One adaptive run with warmjit pinned on/off.
 
     k-BLPP is pinned off: the braided kernel has no dominant 1-path by
     construction, but its periodic arms DO yield a dominant k-window, and
     the controller's k-fallback would upgrade the warm ladder to a
     multi-iteration trace — these tests exercise the warm tier itself.
     """
-    old_tf, old_wj, old_kb = flags.TRACEFAST, flags.WARMJIT, flags.KBLPP
-    flags.TRACEFAST, flags.WARMJIT, flags.KBLPP = True, warm, False
+    old_wj, old_kb = flags.WARMJIT, flags.KBLPP
+    flags.WARMJIT, flags.KBLPP = warm, False
     try:
         return _adaptive_run(
             program, superblock=True, resilience=resilience,
             tick_interval=tick_interval,
         )
     finally:
-        flags.TRACEFAST, flags.WARMJIT, flags.KBLPP = old_tf, old_wj, old_kb
+        flags.WARMJIT, flags.KBLPP = old_wj, old_kb
 
 
 # -- the Q20 grid ------------------------------------------------------------
@@ -191,16 +190,6 @@ def test_dirty_injected_charge_demotes(monkeypatch):
     assert costs_mod.FOLD_REJECTIONS == len(code)
 
 
-def test_kill_switch_leaves_fold_q_unset():
-    old = flags.FIXEDCOST
-    flags.FIXEDCOST = False
-    try:
-        code = compile_simple(hot_helper_program())
-    finally:
-        flags.FIXEDCOST = old
-    assert all(cm.fold_q is None for cm in code.values())
-
-
 def test_demoted_method_runs_bit_identically():
     # fold_q == 0 falls back to textual chains; the digest must not
     # move.  (The dirty multiplier itself changes cycles, so both runs
@@ -227,19 +216,27 @@ def test_fuel_abort_parity_across_folding(fuel):
     # Fuel exhaustion can land anywhere inside a folded chain; the trap
     # path must reconstruct the exact sequential cycle count.  The
     # abort signature (site + cycles) must agree across the
-    # interpreter, blockjit, and both fold regimes.
+    # interpreter, blockjit, the trace tier, and both fold regimes: the
+    # certified verdict (folded chains) and a rejected one (``fold_q``
+    # forced to 0, textual chains — exact on any model).
     program = hot_helper_program(calls=40, inner=24)
     seen = set()
-    for fixed in (True, False):
-        old = flags.FIXEDCOST
-        flags.FIXEDCOST = fixed
-        try:
+    for certified in (True, False):
+        for engine in ("interp", "blockjit", "trace"):
             code = compile_simple(program, mode="pep")
-        finally:
-            flags.FIXEDCOST = old
-        for bj in (False, True):
+            if not certified:
+                for cm in code.values():
+                    cm.fold_q = 0
+            if engine == "trace":
+                helper = code["helper"]
+                path = next(
+                    p for p in range(helper.dag.num_paths)
+                    if trace_blocks(helper, p) is not None
+                )
+                assert install_superblock(helper, path)
             vm = VirtualMachine(
-                code, program.main, costs=CostModel(), blockjit=bj
+                code, program.main, costs=CostModel(),
+                blockjit=engine != "interp",
             )
             with pytest.raises(FuelExhaustedError) as info:
                 vm.run(fuel=fuel)
@@ -253,7 +250,6 @@ def test_fuel_abort_parity_across_folding(fuel):
 
 
 def _warm_flags(monkeypatch):
-    monkeypatch.setattr(flags, "TRACEFAST", True)
     monkeypatch.setattr(flags, "SUPERBLOCK", True)
     monkeypatch.setattr(flags, "WARMJIT", True)
 
@@ -262,7 +258,7 @@ def _warm_cm(monkeypatch):
     _warm_flags(monkeypatch)
     code = compile_simple(braided_helper_program(), mode="pep")
     cm = code["helper"]
-    assert install_superblock(cm, tracefast.WARM_PATH, CostModel())
+    assert install_superblock(cm, tracefast.WARM_PATH)
     return cm
 
 
@@ -289,12 +285,11 @@ def test_warm_install_builds_token_ladder(monkeypatch):
 
 
 def test_warm_install_requires_warmjit_flag(monkeypatch):
-    monkeypatch.setattr(flags, "TRACEFAST", True)
     monkeypatch.setattr(flags, "SUPERBLOCK", True)
     monkeypatch.setattr(flags, "WARMJIT", False)
     code = compile_simple(braided_helper_program(), mode="pep")
     cm = code["helper"]
-    assert install_superblock(cm, tracefast.WARM_PATH, CostModel()) is False
+    assert install_superblock(cm, tracefast.WARM_PATH) is False
     assert cm.sb_entry is None
 
 
@@ -304,7 +299,7 @@ def test_real_trace_upgrades_warm_ladder(monkeypatch):
     _warm_flags(monkeypatch)
     code = compile_simple(hot_helper_program(), mode="pep")
     cm = code["helper"]
-    assert install_superblock(cm, tracefast.WARM_PATH, CostModel())
+    assert install_superblock(cm, tracefast.WARM_PATH)
     assert cm.sb_path == tracefast.WARM_PATH
     warm_entry = cm.sb_entry
 
@@ -312,12 +307,12 @@ def test_real_trace_upgrades_warm_ladder(monkeypatch):
         p for p in range(cm.dag.num_paths)
         if trace_blocks(cm, p) is not None
     )
-    assert install_superblock(cm, path, CostModel())
+    assert install_superblock(cm, path)
     assert cm.sb_path == path
     assert cm.sb_entry is not warm_entry
 
     # ... and the settled trace is NOT displaced back to warm.
-    assert install_superblock(cm, tracefast.WARM_PATH, CostModel())
+    assert install_superblock(cm, tracefast.WARM_PATH)
     assert cm.sb_path == path
 
 
@@ -391,21 +386,19 @@ def test_warmjit_compile_fault_degrades(monkeypatch):
 # -- whole-suite kill-switch parity (all bundled workloads) ---------------
 
 
-def _flag_checksum(workload: str, fixedcost: bool, warmjit: bool) -> str:
+def _flag_checksum(workload: str, warmjit: bool, kblpp: bool) -> str:
     import repro.api as api
 
     suite = {w.name: w for w in benchmark_suite()}
-    old = (flags.TRACEFAST, flags.SUPERBLOCK, flags.FIXEDCOST, flags.WARMJIT)
-    flags.TRACEFAST, flags.SUPERBLOCK = True, True
-    flags.FIXEDCOST, flags.WARMJIT = fixedcost, warmjit
+    old = (flags.SUPERBLOCK, flags.WARMJIT, flags.KBLPP)
+    flags.SUPERBLOCK, flags.WARMJIT, flags.KBLPP = True, warmjit, kblpp
     try:
         program = suite[workload].build(0.3)
         report = api.profile_adaptive(
             program, samples=16, stride=3, ticks=100
         )
     finally:
-        (flags.TRACEFAST, flags.SUPERBLOCK,
-         flags.FIXEDCOST, flags.WARMJIT) = old
+        flags.SUPERBLOCK, flags.WARMJIT, flags.KBLPP = old
     return payload_checksum(
         {
             "paths": sorted(report.paths.items()),
@@ -422,9 +415,11 @@ def _flag_checksum(workload: str, fixedcost: bool, warmjit: bool) -> str:
 
 @pytest.mark.parametrize("workload", ALL_WORKLOADS)
 def test_workload_digest_parity_every_flag_combo(workload):
+    # The trace tier's two remaining promotion switches: the warm ladder
+    # and the k-iteration trace fallback.
     combos = [(True, True), (False, True), (True, False), (False, False)]
     digests = {
-        _flag_checksum(workload, fixedcost=fc, warmjit=wj)
-        for fc, wj in combos
+        _flag_checksum(workload, warmjit=wj, kblpp=kb)
+        for wj, kb in combos
     }
     assert len(digests) == 1

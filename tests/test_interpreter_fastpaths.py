@@ -1,31 +1,32 @@
-"""Superinstruction fusion and interpreter fast-path equivalence.
+"""Interpreter fast paths and the hot front-end shapes across tiers.
 
-The contract under test: lowering with ``fuse=True`` (const->bin and
-cmp->br superinstructions) must be observationally identical to
-``fuse=False`` — same outputs, same return values, same *exact* virtual
-cycles, same path and edge profiles — because a fused op charges the sum
-of its constituents' costs and performs the same register writes in the
-same order.
+The const->bin and cmp->br shapes below are what the structured front
+end emits most (every ``x op LIT`` and every ``if (expr)``).  They were
+once superinstruction-fusion sites; fusion is gone (lowering is one op
+per instruction), and the tests — names kept stable — now hold the
+compiled tiers to the tuple interpreter on exactly those shapes: plain
+blockjit, and the tracefast warm ladder on every method that has a
+P-DAG.  Same outputs, same return values, same *exact* virtual cycles,
+same path and edge profiles, same traps.  The interpreter's own fast
+paths (countdown yieldpoint gate, NumPy drain) are checked against
+their reference arms further down.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bytecode.builder import ProgramBuilder
 from repro.bytecode.instructions import BinOp, BinOpImm, Br, Const, Emit, Ret
 from repro.bytecode.method import Method, Program
 from repro.errors import GuestTrapError
 from repro.profiling.paths import PathProfile
 from repro.sampling.arnold_grove import make_sampler
+from repro.util import flags
+from repro.vm import tracefast
 from repro.vm.costs import CostModel
-from repro.vm.interpreter import (
-    KIND_CODES,
-    OP_CONSTBIN,
-    T_BRCMP,
-    lower_method,
-)
+from repro.vm.interpreter import KIND_CODES, OP_BIN, OP_BINI, T_BR, lower_method
 from repro.vm.runtime import VirtualMachine
+from repro.vm.superblock import install_superblock
 from repro.workloads.generator import GeneratorSpec, random_program
 
 from tests.compile_util import compile_simple, run_program
@@ -55,23 +56,46 @@ _KIND_CASES = [
 ]
 
 
-def _run_both(program: Program, **kwargs):
-    """Run fused and unfused; returns the two (vm, result) pairs."""
-    fused = run_program(program, fuse=True, **kwargs)
-    unfused = run_program(program, fuse=False, **kwargs)
-    return fused, unfused
+def _run_tiers(program: Program, mode="pep", sampler_args=None,
+               tick_interval=None, tier="opt2"):
+    """Run on the interpreter, plain blockjit, and blockjit with every
+    method that has a P-DAG promoted to the tracefast warm ladder.
+
+    Returns the three ``(vm, result)`` pairs."""
+    runs = []
+    for engine in ("interp", "blockjit", "warm"):
+        code = compile_simple(program, mode=mode, tier=tier)
+        if engine == "warm":
+            old = flags.WARMJIT
+            flags.WARMJIT = True
+            try:
+                for cm in code.values():
+                    if cm.dag is not None:
+                        assert install_superblock(cm, tracefast.WARM_PATH)
+            finally:
+                flags.WARMJIT = old
+        sampler = (
+            make_sampler(*sampler_args) if sampler_args is not None else None
+        )
+        vm = VirtualMachine(
+            code, program.main, costs=CostModel(),
+            tick_interval=tick_interval, sampler=sampler,
+            blockjit=engine != "interp",
+        )
+        runs.append((vm, vm.run()))
+    return runs
 
 
-def _assert_identical(fused, unfused):
-    vm_f, res_f = fused
-    vm_u, res_u = unfused
-    assert res_f.return_value == res_u.return_value
-    assert vm_f.output == vm_u.output
-    assert res_f.cycles == res_u.cycles  # exact, not approximate
-    assert res_f.ticks == res_u.ticks
-    assert res_f.samples_taken == res_u.samples_taken
-    assert _path_dict(vm_f.path_profile) == _path_dict(vm_u.path_profile)
-    assert _edge_dict(vm_f) == _edge_dict(vm_u)
+def _assert_identical(*runs):
+    vm_a, res_a = runs[0]
+    for vm_b, res_b in runs[1:]:
+        assert res_a.return_value == res_b.return_value
+        assert vm_a.output == vm_b.output
+        assert res_a.cycles == res_b.cycles  # exact, not approximate
+        assert res_a.ticks == res_b.ticks
+        assert res_a.samples_taken == res_b.samples_taken
+        assert _path_dict(vm_a.path_profile) == _path_dict(vm_b.path_profile)
+        assert _edge_dict(vm_a) == _edge_dict(vm_b)
 
 
 def _path_dict(profile: PathProfile):
@@ -86,7 +110,7 @@ def _edge_dict(vm):
     }
 
 
-# -- const->bin superinstruction --------------------------------------------
+# -- const->bin shape --------------------------------------------------------
 
 
 def _const_bin_method(kind: str, cval: int, other: int, const_on_left: bool,
@@ -114,42 +138,18 @@ def _const_bin_method(kind: str, cval: int, other: int, const_on_left: bool,
 @pytest.mark.parametrize("const_on_left", [True, False])
 def test_const_bin_fusion_every_kind(kind, cval, other, const_on_left):
     program = _const_bin_method(kind, cval, other, const_on_left)
-    fused, unfused = _run_both(program)
-    _assert_identical(fused, unfused)
+    _assert_identical(*_run_tiers(program))
 
 
 @pytest.mark.parametrize("kind", ["add", "sub", "xor", "lt", "eq"])
 def test_const_bin_fusion_dst_aliases_const_reg(kind):
     # dst == const_dst: the binop result overwrites the const's register.
     program = _const_bin_method(kind, 7, 5, True, alias_dst=True)
-    fused, unfused = _run_both(program)
-    _assert_identical(fused, unfused)
-
-
-def test_const_bin_fusion_actually_fuses():
-    program = _const_bin_method("add", 7, 5, True)
-    costs = CostModel()
-    cm = lower_method(program.method("main").clone(), "opt2", costs, fuse=True)
-    codes = [op[0] for block in cm.blocks.values() for op in block.ops]
-    assert OP_CONSTBIN in codes
-    cm_plain = lower_method(
-        program.method("main").clone(), "opt2", costs, fuse=False
-    )
-    plain_codes = [
-        op[0] for block in cm_plain.blocks.values() for op in block.ops
-    ]
-    assert OP_CONSTBIN not in plain_codes
-    # Static cost conservation: total op cost per block is unchanged.
-    for label, block in cm.blocks.items():
-        fused_cost = sum(op[1] for op in block.ops) + block.term[1]
-        plain_block = cm_plain.blocks[label]
-        plain_cost = sum(op[1] for op in plain_block.ops) + plain_block.term[1]
-        assert fused_cost == plain_cost
+    _assert_identical(*_run_tiers(program))
 
 
 def test_const_bin_fusion_skips_const_feeding_both_operands():
-    # bin dst, c, c with both operands the const register must not fuse
-    # (the encoding carries only one non-const operand).
+    # bin dst, c, c with both operands the const register.
     method = Method("main", num_params=0, num_regs=2)
     entry = method.new_block("entry")
     entry.append(Const(1, 21))
@@ -159,18 +159,14 @@ def test_const_bin_fusion_skips_const_feeding_both_operands():
     method.seal()
     program = Program("t", main="main")
     program.add(method)
-    cm = lower_method(
-        program.method("main").clone(), "opt2", CostModel(), fuse=True
-    )
-    codes = [op[0] for block in cm.blocks.values() for op in block.ops]
-    assert OP_CONSTBIN not in codes
-    fused, unfused = _run_both(program)
-    _assert_identical(fused, unfused)
-    assert fused[0].output == [42]
+    runs = _run_tiers(program)
+    _assert_identical(*runs)
+    assert runs[0][0].output == [42]
 
 
 def test_const_bin_fused_trap_is_identical():
-    # Division by zero through the fused op: same error, same location.
+    # Division by zero right after the const: same error, same location,
+    # same cycle count on every engine.
     method = Method("main", num_params=0, num_regs=3)
     entry = method.new_block("entry")
     entry.append(Const(2, 5))
@@ -181,18 +177,17 @@ def test_const_bin_fused_trap_is_identical():
     program = Program("t", main="main")
     program.add(method)
     errors = []
-    for fuse in (True, False):
+    for blockjit in (False, True):
         with pytest.raises(GuestTrapError) as info:
-            run_program(program, fuse=fuse)
-        # The embedded instruction index is a *lowered* position and
-        # legitimately shifts when fusion removes ops; everything else
-        # (trap kind, method, cycle count) must match exactly.
-        message = str(info.value).split(" at ")[0]
-        errors.append((message, info.value.cycles))
+            run_program(program, blockjit=blockjit)
+        err = info.value
+        errors.append(
+            (str(err), err.block, err.instruction_index, err.cycles)
+        )
     assert errors[0] == errors[1]
 
 
-# -- cmp->br superinstruction -----------------------------------------------
+# -- cmp->br shape -----------------------------------------------------------
 
 
 def _cmp_br_method(kind: str, imm: bool) -> Program:
@@ -201,7 +196,7 @@ def _cmp_br_method(kind: str, imm: bool) -> Program:
     entry = method.new_block("entry")
     entry.append(Const(0, 7))
     entry.append(Const(1, 5))
-    entry.append(Emit(0))  # spacer: keeps const->bin fusion out of the tail
+    entry.append(Emit(0))
     if imm:
         entry.append(BinOpImm(kind, 2, 0, 5))
     else:
@@ -226,22 +221,23 @@ def _cmp_br_method(kind: str, imm: bool) -> Program:
 @pytest.mark.parametrize("imm", [True, False])
 def test_cmp_br_fusion_every_comparison(kind, imm):
     program = _cmp_br_method(kind, imm)
-    costs = CostModel()
-    cm = lower_method(program.method("main").clone(), "opt2", costs, fuse=True)
-    assert cm.blocks["entry"].term[0] == T_BRCMP
-    assert cm.blocks["entry"].term[2] == KIND_CODES[kind]
-    fused, unfused = _run_both(program)
-    _assert_identical(fused, unfused)
+    cm = lower_method(program.method("main").clone(), "opt2", CostModel())
+    # One lowered op per instruction: the comparison stays an op and the
+    # branch a plain T_BR.
+    cmp_op = cm.blocks["entry"].ops[3]
+    assert cmp_op[0] == (OP_BINI if imm else OP_BIN)
+    assert cmp_op[2] == KIND_CODES[kind]
+    assert cm.blocks["entry"].term[0] == T_BR
+    _assert_identical(*_run_tiers(program))
 
 
 @pytest.mark.parametrize("kind", ["lt", "le", "gt", "ge", "eq", "ne"])
 def test_const_br_degenerate_fusion(kind):
     # const z, v; br k t, z — the front end's ``if (expr op LIT)`` shape.
-    # No cmp component: encoded with cmp_kind == -1.
     method = Method("main", num_params=0, num_regs=3)
     entry = method.new_block("entry")
     entry.append(Const(0, 6))
-    entry.append(BinOpImm("mul", 1, 0, 7))  # non-cmp producer stays an op
+    entry.append(BinOpImm("mul", 1, 0, 7))
     entry.append(Const(2, 42))
     entry.terminator = Br(kind, 1, 2, "yes", "no")
     yes = method.new_block("yes")
@@ -253,19 +249,11 @@ def test_const_br_degenerate_fusion(kind):
     method.seal()
     program = Program("t", main="main")
     program.add(method)
-    cm = lower_method(
-        program.method("main").clone(), "opt2", CostModel(), fuse=True
-    )
-    term = cm.blocks["entry"].term
-    assert term[0] == T_BRCMP
-    assert term[2] == -1
-    fused, unfused = _run_both(program)
-    _assert_identical(fused, unfused)
+    _assert_identical(*_run_tiers(program))
 
 
 def test_const_br_fusion_skips_when_branch_lhs_is_const_reg():
-    # br k z, z: both operands are the materialised const — reading the
-    # lhs before the const write would see a stale value, so no fusion.
+    # br k z, z: both branch operands are the just-materialised const.
     method = Method("main", num_params=0, num_regs=2)
     entry = method.new_block("entry")
     entry.append(Const(1, 0))
@@ -275,17 +263,11 @@ def test_const_br_fusion_skips_when_branch_lhs_is_const_reg():
     method.seal()
     program = Program("t", main="main")
     program.add(method)
-    cm = lower_method(
-        program.method("main").clone(), "opt2", CostModel(), fuse=True
-    )
-    assert cm.blocks["entry"].term[0] != T_BRCMP
-    fused, unfused = _run_both(program)
-    _assert_identical(fused, unfused)
+    _assert_identical(*_run_tiers(program))
 
 
 def test_cmp_br_fusion_skips_when_cmp_result_register_reused():
-    # br compares t against a register that is NOT the materialised
-    # const: must stay a plain T_BR.
+    # br compares the const against the cmp result (operands swapped).
     method = Method("main", num_params=0, num_regs=4)
     entry = method.new_block("entry")
     entry.append(Const(0, 7))
@@ -297,43 +279,20 @@ def test_cmp_br_fusion_skips_when_cmp_result_register_reused():
     method.seal()
     program = Program("t", main="main")
     program.add(method)
-    cm = lower_method(
-        program.method("main").clone(), "opt2", CostModel(), fuse=True
-    )
-    assert cm.blocks["entry"].term[0] != T_BRCMP
-    fused, unfused = _run_both(program)
-    _assert_identical(fused, unfused)
-
-
-def test_builder_if_pattern_lowers_to_brcmp():
-    # The structured front end's if()/while() shape must actually hit
-    # the fusion (that is the point of the superinstruction).
-    program = counting_program(10)
-    costs = CostModel()
-    cm = lower_method(program.method("main").clone(), "opt2", costs, fuse=True)
-    terms = [block.term[0] for block in cm.blocks.values()]
-    assert T_BRCMP in terms
+    _assert_identical(*_run_tiers(program))
 
 
 # -- whole-program equivalence ----------------------------------------------
 
 
 def test_fused_equivalence_counting_program_sampled():
-    program = counting_program(40)
-    sampler_a = make_sampler(4, 3)
-    sampler_b = make_sampler(4, 3)
-    fused = run_program(
-        program, mode="pep", sampler=sampler_a, tick_interval=500.0, fuse=True
-    )
-    unfused = run_program(
-        program, mode="pep", sampler=sampler_b, tick_interval=500.0, fuse=False
-    )
-    _assert_identical(fused, unfused)
+    _assert_identical(*_run_tiers(
+        counting_program(40), sampler_args=(4, 3), tick_interval=500.0
+    ))
 
 
 def test_fused_equivalence_call_program():
-    fused, unfused = _run_both(call_program(), mode="edges")
-    _assert_identical(fused, unfused)
+    _assert_identical(*_run_tiers(call_program(), mode="edges"))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -343,8 +302,7 @@ def test_fused_equivalence_random_programs(seed):
     program = random_program(
         seed, GeneratorSpec(n_helpers=2, work_budget=300)
     )
-    fused, unfused = _run_both(program)
-    _assert_identical(fused, unfused)
+    _assert_identical(*_run_tiers(program))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -352,23 +310,15 @@ def test_fused_equivalence_random_programs_sampled(seed):
     program = random_program(
         seed + 100, GeneratorSpec(n_helpers=1, work_budget=200)
     )
-    fused = run_program(
-        program, mode="pep", sampler=make_sampler(8, 5),
-        tick_interval=400.0, fuse=True,
-    )
-    unfused = run_program(
-        program, mode="pep", sampler=make_sampler(8, 5),
-        tick_interval=400.0, fuse=False,
-    )
-    _assert_identical(fused, unfused)
+    _assert_identical(*_run_tiers(
+        program, sampler_args=(8, 5), tick_interval=400.0
+    ))
 
 
 def test_fused_equivalence_classic_and_full_instrumentation():
     program = counting_program(25)
     for mode in ("full-hash", "classic"):
-        fused = run_program(program, mode=mode, fuse=True)
-        unfused = run_program(program, mode=mode, fuse=False)
-        _assert_identical(fused, unfused)
+        _assert_identical(*_run_tiers(program, mode=mode))
 
 
 # -- countdown yieldpoint gate ----------------------------------------------
@@ -560,17 +510,6 @@ def test_record_slot_batches_vectorized_exactness():
 
 
 def test_baseline_tier_equivalence():
-    # Baseline tier multiplies every cost by 3; fusion must preserve the
-    # multiplied sums exactly too.
-    program = counting_program(15)
-    costs = CostModel()
-    results = []
-    for fuse in (True, False):
-        code = {
-            m.name: lower_method(m.clone(), "baseline", costs, fuse=fuse)
-            for m in program.iter_methods()
-        }
-        vm = VirtualMachine(code, program.main, costs=costs)
-        results.append(vm.run())
-    assert results[0].cycles == results[1].cycles
-    assert results[0].return_value == results[1].return_value
+    # Baseline code multiplies every cost by its tier multiplier; every
+    # engine must charge the multiplied sums exactly.
+    _assert_identical(*_run_tiers(counting_program(15), tier="baseline"))

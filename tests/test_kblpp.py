@@ -63,10 +63,8 @@ def _isolate_codecache(monkeypatch):
 def _kblpp_on(monkeypatch):
     # Pin the feature on for every test in this file (the CI kill-switch
     # smoke exports REPRO_KBLPP=0 globally; these tests are about the
-    # enabled tier unless they pin the flag themselves).  The tracefast
-    # backend hosts the multi-iteration traces, so it is pinned too.
+    # enabled tier unless they pin the flag themselves).
     monkeypatch.setattr(flags, "KBLPP", True)
-    monkeypatch.setattr(flags, "TRACEFAST", True)
 
 
 @pytest.fixture(autouse=True)
@@ -429,7 +427,7 @@ def _stitchable_encoded(cm):
 def _engaged_kcm():
     _, cm = _helper_cm()
     encoded = _stitchable_encoded(cm)
-    assert install_superblock(cm, encoded, CostModel())
+    assert install_superblock(cm, encoded)
     assert cm.sb_path == encoded
     assert is_kpath(cm.sb_path)
     return cm
@@ -457,9 +455,7 @@ def test_ktrace_execution_bit_identity():
     for traced in (False, True):
         code, cm = _helper_cm(program)
         if traced:
-            assert install_superblock(
-                cm, _stitchable_encoded(cm), CostModel()
-            )
+            assert install_superblock(cm, _stitchable_encoded(cm))
         vm = VirtualMachine(
             code, program.main, costs=CostModel(), tick_interval=500.0,
             sampler=make_sampler(8, 3), blockjit=True,

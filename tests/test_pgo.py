@@ -293,14 +293,13 @@ def inline_candidate_program(calls: int = 220, inner: int = 36):
     return pb.build()
 
 
-def _inline_run(program, inline, tracefast=True):
-    old_tf, old_in = flags.TRACEFAST, flags.PGO_INLINE
-    flags.TRACEFAST = tracefast
+def _inline_run(program, inline):
+    old_in = flags.PGO_INLINE
     flags.PGO_INLINE = inline
     try:
         return _adaptive_run(program, superblock=True, tick_interval=400.0)
     finally:
-        flags.TRACEFAST, flags.PGO_INLINE = old_tf, old_in
+        flags.PGO_INLINE = old_in
 
 
 def test_inline_advice_engages_and_moves_no_bits():
@@ -321,8 +320,8 @@ def test_inline_guard_side_exit_parity_on_fuel_abort():
     program = inline_candidate_program()
     seen = []
     for inline in (True, False):
-        old_tf, old_in = flags.TRACEFAST, flags.PGO_INLINE
-        flags.TRACEFAST, flags.PGO_INLINE = True, inline
+        old_in = flags.PGO_INLINE
+        flags.PGO_INLINE = inline
         try:
             from repro.adaptive.controller import AdaptiveConfig, AdaptiveSystem
             from repro.sampling.arnold_grove import SamplingConfig
@@ -335,7 +334,7 @@ def test_inline_guard_side_exit_parity_on_fuel_abort():
             with pytest.raises(FuelExhaustedError) as info:
                 vm.run(fuel=220_000)
         finally:
-            flags.TRACEFAST, flags.PGO_INLINE = old_tf, old_in
+            flags.PGO_INLINE = old_in
         err = info.value
         seen.append((
             str(err), err.method, err.block, err.instruction_index,
@@ -397,7 +396,6 @@ def test_flag_flip_invalidates_persisted_trace(monkeypatch):
     # under inlining off: the advice is baked into the source.
     from repro.vm.superblock import reinstall_persisted, superblock_fingerprint
 
-    monkeypatch.setattr(flags, "TRACEFAST", True)
     program = inline_candidate_program()
     on_sys, _, _ = _inline_run(program, inline=True)
     cm = on_sys.code["outer"]
@@ -424,10 +422,9 @@ def _workload_checksum(workload: str, pgo_on: bool) -> str:
 
     suite = {w.name: w for w in benchmark_suite()}
     saved = (
-        flags.TRACEFAST, flags.SUPERBLOCK, flags.PGO,
+        flags.SUPERBLOCK, flags.PGO,
         flags.PGO_LAYOUT, flags.PGO_INLINE, flags.PGO_PROBES,
     )
-    flags.TRACEFAST = True
     flags.SUPERBLOCK = True
     flags.PGO = pgo_on
     flags.PGO_LAYOUT = pgo_on
@@ -440,7 +437,7 @@ def _workload_checksum(workload: str, pgo_on: bool) -> str:
         )
     finally:
         (
-            flags.TRACEFAST, flags.SUPERBLOCK, flags.PGO,
+            flags.SUPERBLOCK, flags.PGO,
             flags.PGO_LAYOUT, flags.PGO_INLINE, flags.PGO_PROBES,
         ) = saved
     return payload_checksum(

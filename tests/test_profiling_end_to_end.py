@@ -142,8 +142,8 @@ def test_random_programs_semantics_invariant_under_instrumentation(seed):
     program = random_program(seed, GeneratorSpec(n_helpers=2, work_budget=300))
     outputs = set()
     for mode in (None, "pep", "full-hash", "classic", "edges"):
-        # Fuel is per lowered instruction, so the cushion must cover the
-        # unfused default encoding plus instrumentation overhead.
+        # Fuel is per lowered instruction, so the cushion must cover
+        # the instrumentation overhead too.
         _, result = run_program(program, mode=mode, fuel=8_000_000)
         outputs.add((tuple(result.output), result.return_value))
     assert len(outputs) == 1

@@ -1,12 +1,12 @@
-"""Path-guided superblock bit-identity and lifecycle (DESIGN.md §11).
+"""Path-guided trace selection bit-identity and lifecycle (DESIGN.md §11).
 
-A superblock is an alternative compilation of existing lowered blocks —
-never a semantic change.  Every test here holds that contract to the
-bit: same return values, outputs, exact virtual cycles, path/edge
+A promoted trace is an alternative compilation of existing lowered
+blocks — never a semantic change.  Every test here holds that contract
+to the bit: same return values, outputs, exact virtual cycles, path/edge
 profiles, ticks and samples whether the hot trace is installed or not,
-across engines, tiers, fusion settings, fault plans, adaptive recompiles
-mid-run, and codecache-style pickle round-trips.  ``REPRO_SUPERBLOCK=0``
-is the kill switch and must be a pure wall-clock toggle.
+across engines, tiers, fault plans, adaptive recompiles mid-run, and
+codecache-style pickle round-trips.  ``REPRO_SUPERBLOCK=0`` is the kill
+switch and must be a pure wall-clock toggle.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.vm.runtime import VirtualMachine
 from repro.vm.superblock import (
     MAX_TRACE_BLOCKS,
     find_dominant_path,
-    generate_trace_source,
     install_superblock,
     superblock_fingerprint,
     trace_blocks,
@@ -189,11 +188,13 @@ def test_generated_source_shape():
     cm = code["helper"]
     path = _installable_path(cm)
     trace = trace_blocks(cm, path)
-    source = generate_trace_source(cm, trace)
-    assert "def _sb(vm, frame, regs, st):" in source
-    assert "while True:" in source
+    source = tracefast.generate_method_source(cm, trace)
+    # The trace is the first ladder arm, an inner loop of its own.
+    head_token = tracefast.entry_tokens(cm)[(trace[0].label, 0)]
+    assert f"if _e == {head_token}:\n            while True:" in source
     assert "continue" in source  # the loop-closing edge
-    assert "st.fuel" in source  # per-block fuel charges are baked in
+    assert "break" in source  # side exits fall back into the ladder
+    assert "_fuel = _fuel - " in source  # per-block fuel charges baked in
 
 
 def test_install_superblock_rebinds_head_entry():
@@ -247,15 +248,6 @@ def test_static_image_parity_three_ways():
     plain_jit = _digest(*_run_image(program, install=False, use_blockjit=True))
     interp = _digest(*_run_image(program, install=False, use_blockjit=False))
     assert superblock == plain_jit == interp
-
-
-@pytest.mark.parametrize("fuse_env", ["0", "1"])
-def test_static_image_parity_fused_and_unfused(fuse_env, monkeypatch):
-    monkeypatch.setenv("REPRO_FUSE", fuse_env)
-    program = hot_helper_program(calls=60, inner=25)
-    superblock = _digest(*_run_image(program, install=True, use_blockjit=True))
-    plain_jit = _digest(*_run_image(program, install=False, use_blockjit=True))
-    assert superblock == plain_jit
 
 
 def test_superblock_fuel_exhaustion_parity():

@@ -1,16 +1,15 @@
-"""Slotted-frame tracefast backend bit-identity and lifecycle (DESIGN.md §13).
+"""The tracefast trace tier: bit-identity and lifecycle (DESIGN.md §13).
 
-The tracefast tier is a second codegen backend behind the same template
-contract as the §11 superblock: registers promoted to locals across the
-whole method, straight-line cost chains batched (and constant-folded
-when provably exact), and an optional AOT-compiled module for the
-hottest traces.  None of that may move a single bit: every test here
-pins return values, outputs, exact virtual cycles, path/edge profiles,
-ticks, samples, traps, fuel accounting and health records against the
-classic superblock backend, plain blockjit, and the interpreter —
-including under fault plans, codecache-style pickle round-trips, and
-with the AOT tier forced off.  ``REPRO_TRACEFAST=0`` is the kill switch
-and must revert to the classic backend byte-identically.
+Tracefast is the one codegen backend above blockjit: registers promoted
+to locals across the whole method, token dispatch instead of the segment
+trampoline, and straight-line cost chains batched (folded to one
+constant when lowering certified the method on the fixed-point grid).
+None of that may move a single bit: every test here pins return values,
+outputs, exact virtual cycles, path/edge profiles, ticks, samples, traps,
+fuel accounting and health records against plain blockjit and the tuple
+interpreter — including under fault plans, codecache-style pickle
+round-trips, every bundled workload, and generated programs with every
+method force-promoted.
 """
 
 from __future__ import annotations
@@ -19,27 +18,28 @@ import pickle
 
 import pytest
 
+from repro.errors import FuelExhaustedError, GuestTrapError
 from repro.persist import payload_checksum
 from repro.resilience import FaultPlan, ResilienceManager
+from repro.sampling.arnold_grove import make_sampler
 from repro.util import flags
 from repro.vm import blockjit, tracefast
 from repro.vm.costs import FOLD_SHIFT, CostModel
 from repro.vm.runtime import VirtualMachine
 from repro.vm.superblock import (
-    find_dominant_path,
     install_superblock,
     superblock_fingerprint,
     trace_blocks,
 )
 from repro.vm.tracefast import (
-    _clean_const,
-    _fold_safe,
     entry_tokens,
     generate_method_source,
     install_tracefast,
 )
+from repro.workloads.generator import GeneratorSpec, random_program
 from repro.workloads.suite import benchmark_suite
 
+from tests.compile_util import compile_simple
 from tests.test_superblock import (
     _adaptive_run,
     _digest,
@@ -59,50 +59,22 @@ def _isolate_codecache(monkeypatch):
     monkeypatch.setenv("REPRO_CODECACHE", "0")
 
 
-@pytest.fixture(autouse=True)
-def _tracefast_on(monkeypatch):
-    # Pin the backend on for every test in this file (the CI kill-switch
-    # smoke exports REPRO_TRACEFAST=0 globally; these tests are about
-    # the enabled backend unless they pin the flag themselves).
-    monkeypatch.setattr(flags, "TRACEFAST", True)
-
-
-def _tf_run(program, tf, superblock=True, resilience=None,
-            tick_interval=600.0, min_samples=4.0):
-    """One adaptive run with the tracefast backend pinned on or off."""
-    old = flags.TRACEFAST
-    flags.TRACEFAST = tf
-    try:
-        return _adaptive_run(
-            program, superblock=superblock, resilience=resilience,
-            tick_interval=tick_interval, min_samples=min_samples,
-        )
-    finally:
-        flags.TRACEFAST = old
-
-
 # -- flag resolution ---------------------------------------------------------
 
 
 def test_kill_switch_environment_resolution(monkeypatch):
-    monkeypatch.setattr(flags, "TRACEFAST", None)
-    monkeypatch.setenv(flags.TRACEFAST_ENV, "0")
-    assert flags.tracefast_enabled() is False
-    monkeypatch.setenv(flags.TRACEFAST_ENV, "1")
-    assert flags.tracefast_enabled() is True
-    monkeypatch.delenv(flags.TRACEFAST_ENV)
-    assert flags.tracefast_enabled() is True  # default on
+    # The tier's own switch is REPRO_SUPERBLOCK (test_superblock); the
+    # warm ladder it compiles for dominance-free methods has this one.
+    monkeypatch.setattr(flags, "WARMJIT", None)
+    monkeypatch.setenv(flags.WARMJIT_ENV, "0")
+    assert flags.warmjit_enabled() is False
+    monkeypatch.setenv(flags.WARMJIT_ENV, "1")
+    assert flags.warmjit_enabled() is True
+    monkeypatch.delenv(flags.WARMJIT_ENV)
+    assert flags.warmjit_enabled() is True  # default on
 
 
-def test_aot_flag_environment_resolution(monkeypatch):
-    monkeypatch.setattr(flags, "TRACEFAST_AOT", None)
-    monkeypatch.setenv(flags.TRACEFAST_AOT_ENV, "0")
-    assert flags.tracefast_aot_enabled() is False
-    monkeypatch.delenv(flags.TRACEFAST_AOT_ENV)
-    assert flags.tracefast_aot_enabled() is True  # default on (gated)
-
-
-# -- codegen: source shape, tokens, fold gate --------------------------------
+# -- codegen: source shape, tokens, fold verdict -----------------------------
 
 
 def _traced_cm():
@@ -138,49 +110,14 @@ def test_entry_tokens_are_deterministic():
     assert remap == entry_tokens(cm_b)
 
 
-def test_clean_const_gate():
-    # Clean: multiples of 2**-12 below 2**24 (float addition over these
-    # is exact, hence associative, hence foldable bit-identically).
-    assert _clean_const(0.0)
-    assert _clean_const(1.0)
-    assert _clean_const(2.5)
-    assert _clean_const(0.000244140625)  # 2**-12 exactly
-    assert _clean_const(-60.0)
-    # Dirty: full-mantissa values or magnitudes past the exactness bound.
-    assert not _clean_const(1.15)
-    assert not _clean_const(0.1)
-    assert not _clean_const(2.0**25)
-    assert not _clean_const(float("nan"))
-    assert not _clean_const(float("inf"))
-
-
-def test_fold_safe_rejects_dirty_cost_model():
-    cm, _, _ = _traced_cm()
-    clean = CostModel()
-    assert _fold_safe(cm, clean)
-    dirty = CostModel()
-    dirty.pep_pass_cost_per_instr = 0.1  # not a 2**-12 multiple
-    assert not _fold_safe(cm, dirty)
-
-
-def test_fold_only_with_certified_costs(monkeypatch):
-    # Pin fixed-point accounting on (the CI kill-switch smoke exports
-    # REPRO_FIXEDCOST=0 globally; the first half of this test is about
-    # the certified path).
-    monkeypatch.setattr(flags, "FIXEDCOST", True)
+def test_fold_only_with_certified_costs():
     cm, _, trace = _traced_cm()
-    # Fixed-point accounting (the default): lowering already certified
-    # the whole cost universe on the Q20 grid (fold_q), so every chain
-    # folds regardless of the ``costs`` argument.
+    # The default model certifies on the Q20 grid: every chain folds.
     assert cm.fold_q == FOLD_SHIFT
-    assert generate_method_source(cm, trace, CostModel()) == (
-        generate_method_source(cm, trace, None)
-    )
-    # Legacy lowering (REPRO_FIXEDCOST=0 -> fold_q is None): folding is
-    # gated on a certified cost model, per-method.
-    cm.fold_q = None
-    folded = generate_method_source(cm, trace, CostModel())
-    unfolded = generate_method_source(cm, trace, None)
+    folded = generate_method_source(cm, trace)
+    # A rejected verdict keeps textual chains (exact on any model).
+    cm.fold_q = 0
+    unfolded = generate_method_source(cm, trace)
     assert folded != unfolded
     # The fold collapses straight-line cost chains into one constant,
     # so the folded body performs strictly fewer runtime additions.
@@ -192,7 +129,7 @@ def test_fold_only_with_certified_costs(monkeypatch):
 
 def test_install_tracefast_rebinds_every_entry():
     cm, path, trace = _traced_cm()
-    assert install_tracefast(cm, path, CostModel()) is True
+    assert install_tracefast(cm, path) is True
     assert cm.sb_entry is not None
     assert cm.sb_path == path
     assert cm.sb_source is not None
@@ -207,14 +144,22 @@ def test_install_tracefast_rebinds_every_entry():
     assert install_tracefast(cm, path) is True
 
 
-def test_install_superblock_front_door_selects_tracefast():
+def test_install_superblock_front_door_selects_tracefast(monkeypatch):
     cm, path, _ = _traced_cm()
-    assert install_superblock(cm, path, CostModel()) is True
-    assert "def _m(" in cm.sb_source  # tracefast source, not classic _sb
-    flags.TRACEFAST = False
-    cm2, path2, _ = _traced_cm()
-    assert install_superblock(cm2, path2, CostModel()) is True
-    assert "def _sb(" in cm2.sb_source  # classic single-trace backend
+    # The front door dispatches through the module attribute, so a
+    # wrapper bound there (profilers, tracing benchmarks) sees every
+    # compile.
+    calls = []
+    real = tracefast.install_tracefast
+
+    def spy(cm_arg, path_arg):
+        calls.append(path_arg)
+        return real(cm_arg, path_arg)
+
+    monkeypatch.setattr(tracefast, "install_tracefast", spy)
+    assert install_superblock(cm, path) is True
+    assert calls == [path]
+    assert "def _m(" in cm.sb_source
 
 
 def test_install_tracefast_rejects_acyclic_path():
@@ -229,61 +174,49 @@ def test_install_tracefast_rejects_acyclic_path():
 # -- static-image parity -----------------------------------------------------
 
 
-def _run_image(program, install, tf, use_blockjit=True, costs=None,
+def _run_image(program, install, use_blockjit=True, certified=True,
                sampler=(8, 3), tick_interval=500.0):
-    from repro.sampling.arnold_grove import make_sampler
-
-    old = flags.TRACEFAST
-    flags.TRACEFAST = tf
-    try:
-        code = _pep_image(program)
-        if install:
-            cm = code["helper"]
-            assert install_superblock(cm, _installable_path(cm), costs)
-        vm = VirtualMachine(
-            code, program.main, costs=CostModel(),
-            tick_interval=tick_interval, sampler=make_sampler(*sampler),
-            blockjit=use_blockjit,
-        )
-        return vm, vm.run()
-    finally:
-        flags.TRACEFAST = old
+    code = _pep_image(program)
+    if not certified:
+        for cm in code.values():
+            cm.fold_q = 0
+    if install:
+        cm = code["helper"]
+        assert install_superblock(cm, _installable_path(cm))
+    vm = VirtualMachine(
+        code, program.main, costs=CostModel(),
+        tick_interval=tick_interval, sampler=make_sampler(*sampler),
+        blockjit=use_blockjit,
+    )
+    return vm, vm.run()
 
 
 def test_static_image_parity_four_ways():
     program = hot_helper_program(calls=80, inner=30)
-    tracefast_folded = _digest(
-        *_run_image(program, install=True, tf=True, costs=CostModel())
+    trace_folded = _digest(*_run_image(program, install=True))
+    trace_textual = _digest(
+        *_run_image(program, install=True, certified=False)
     )
-    tracefast_plainchain = _digest(*_run_image(program, install=True, tf=True))
-    classic = _digest(*_run_image(program, install=True, tf=False))
-    plain_jit = _digest(*_run_image(program, install=False, tf=True))
+    plain_jit = _digest(*_run_image(program, install=False))
     interp = _digest(
-        *_run_image(program, install=False, tf=True, use_blockjit=False)
+        *_run_image(program, install=False, use_blockjit=False)
     )
-    assert (tracefast_folded == tracefast_plainchain == classic
-            == plain_jit == interp)
+    assert trace_folded == trace_textual == plain_jit == interp
 
 
 def test_fuel_exhaustion_parity():
-    from repro.errors import FuelExhaustedError
-
     program = hot_helper_program(calls=80, inner=30)
     seen = []
-    for tf in (True, False):
-        old = flags.TRACEFAST
-        flags.TRACEFAST = tf
-        try:
-            code = _pep_image(program)
+    for install in (True, False):
+        code = _pep_image(program)
+        if install:
             cm = code["helper"]
-            install_superblock(cm, _installable_path(cm), CostModel())
-            vm = VirtualMachine(
-                code, program.main, costs=CostModel(), blockjit=True
-            )
-            with pytest.raises(FuelExhaustedError) as info:
-                vm.run(fuel=3000)
-        finally:
-            flags.TRACEFAST = old
+            assert install_superblock(cm, _installable_path(cm))
+        vm = VirtualMachine(
+            code, program.main, costs=CostModel(), blockjit=install
+        )
+        with pytest.raises(FuelExhaustedError) as info:
+            vm.run(fuel=3000)
         err = info.value
         seen.append(
             (str(err), err.method, err.block, err.instruction_index,
@@ -292,11 +225,11 @@ def test_fuel_exhaustion_parity():
     assert seen[0] == seen[1]
 
 
-# -- adaptive formation: engagement, kill switch, faults ---------------------
+# -- adaptive formation: engagement, faults ----------------------------------
 
 
 def test_adaptive_tracefast_actually_engages():
-    system, vm, _ = _tf_run(hot_helper_program(), tf=True)
+    system, vm, _ = _adaptive_run(hot_helper_program(), superblock=True)
     assert system.superblock_log, "no trace formed — test is vacuous"
     name, _, _ = system.superblock_log[0]
     assert name == "helper"
@@ -305,21 +238,13 @@ def test_adaptive_tracefast_actually_engages():
     assert "def _m(" in cm.sb_source
 
 
-def test_kill_switch_reverts_to_pr5_backend_byte_identically():
-    program = hot_helper_program()
-    on_sys, on_vm, on_res = _tf_run(program, tf=True)
-    off_sys, off_vm, off_res = _tf_run(program, tf=False)
-    assert on_sys.superblock_log and off_sys.superblock_log
-    assert "def _m(" in on_sys.code["helper"].sb_source
-    assert "def _sb(" in off_sys.code["helper"].sb_source  # classic §11
-    assert _digest(on_vm, on_res) == _digest(off_vm, off_res)
-
-
 def test_tracefast_compile_fault_degrades_to_plain_blockjit():
     program = hot_helper_program()
     plan = FaultPlan({"tracefast-compile": 1.0}, seed=11)
     res_mgr = ResilienceManager(plan=plan)
-    system, vm, result = _tf_run(program, tf=True, resilience=res_mgr)
+    system, vm, result = _adaptive_run(
+        program, superblock=True, resilience=res_mgr
+    )
     assert not system.superblock_log
     # The *trace* promotion degraded; the warm token ladder is a
     # separate tier with its own fault site and may still install
@@ -333,50 +258,59 @@ def test_tracefast_compile_fault_degrades_to_plain_blockjit():
     assert degradations
     # Degrading to plain blockjit is bit-identical to formation simply
     # being off: an unconfigured site never advances any RNG.
-    base_sys, base_vm, base_result = _tf_run(
-        program, tf=True, superblock=False,
-        resilience=ResilienceManager(),
+    base_sys, base_vm, base_result = _adaptive_run(
+        program, superblock=False, resilience=ResilienceManager(),
     )
     assert _digest(vm, result) == _digest(base_vm, base_result)
 
 
 def test_tracefast_fault_plan_is_inert_when_disabled():
-    # REPRO_TRACEFAST=0 must revert to PR-5 behavior even under a
-    # tracefast-compile plan: the site is never consulted, so the
-    # classic superblock still forms and the digests match a plan-free
-    # classic run.
+    # With formation switched off (REPRO_SUPERBLOCK=0) the
+    # tracefast-compile site is never consulted: a plan that would fail
+    # every compile leaves no health record and no digest change.
     program = hot_helper_program()
     plan = FaultPlan({"tracefast-compile": 1.0}, seed=11)
-    faulted_sys, faulted_vm, faulted_res = _tf_run(
-        program, tf=False, resilience=ResilienceManager(plan=plan)
+    faulted_mgr = ResilienceManager(plan=plan)
+    faulted_sys, faulted_vm, faulted_res = _adaptive_run(
+        program, superblock=False, resilience=faulted_mgr
     )
-    assert faulted_sys.superblock_log  # classic formation untouched
-    clean_sys, clean_vm, clean_res = _tf_run(
-        program, tf=False, resilience=ResilienceManager()
+    assert not faulted_sys.superblock_log
+    assert not [
+        policy for policy, _ in faulted_mgr.health.degradations
+        if policy == "tracefast-degrade"
+    ]
+    clean_sys, clean_vm, clean_res = _adaptive_run(
+        program, superblock=False, resilience=ResilienceManager()
     )
     assert _digest(faulted_vm, faulted_res) == _digest(clean_vm, clean_res)
 
 
-def test_other_fault_sites_are_bit_identical_across_backends():
+def test_other_fault_sites_are_bit_identical_across_backends(monkeypatch):
+    # Sampling-layer faults fire identically on the trace tier, plain
+    # blockjit, and the tuple interpreter.
     program = hot_helper_program()
     plan = {"sample": 0.2, "path-table": 0.1}
     digests = []
-    for tf in (True, False):
-        _, vm, result = _tf_run(
-            program, tf=tf,
+    for engine in ("trace", "blockjit", "interp"):
+        if engine == "interp":
+            monkeypatch.setenv(blockjit.ENV_DISABLE, "0")
+        system, vm, result = _adaptive_run(
+            program, superblock=engine == "trace",
             resilience=ResilienceManager(plan=FaultPlan(plan, seed=5)),
         )
+        if engine == "trace":
+            assert system.superblock_log
         digests.append(_digest(vm, result))
-    assert digests[0] == digests[1]
+    assert digests[0] == digests[1] == digests[2]
 
 
-# -- persistence (codecache format 5) ----------------------------------------
+# -- persistence (codecache) -------------------------------------------------
 
 
 def _engaged_cm():
     code = _pep_image(hot_helper_program())
     cm = code["helper"]
-    assert install_superblock(cm, _installable_path(cm), CostModel())
+    assert install_superblock(cm, _installable_path(cm))
     assert "def _m(" in cm.sb_source
     return cm
 
@@ -397,13 +331,15 @@ def test_pickled_tracefast_revives_through_ensure_jit(monkeypatch):
 
 
 def test_flag_flip_invalidates_persisted_artifact(monkeypatch):
-    # The fingerprint hashes the resolved tracefast flag, so a source
-    # generated by one backend can never be exec'd by the other: the
-    # flipped process drops the artefact wholesale and reforms its own.
+    # The fingerprint hashes the resolved samplefast flag (its
+    # yieldpoint template is baked into the source), so a source
+    # generated under one datapath can never be exec'd under the other:
+    # the flipped process drops the artefact wholesale.
     monkeypatch.setattr(flags, "SUPERBLOCK", True)
+    monkeypatch.setattr(flags, "SAMPLEFAST", True)
     cm = _engaged_cm()
     clone = pickle.loads(pickle.dumps(cm))
-    flags.TRACEFAST = False
+    monkeypatch.setattr(flags, "SAMPLEFAST", False)
     entries = blockjit.ensure_jit(clone)
     assert clone.sb_entry is None
     assert clone.sb_source is None
@@ -413,14 +349,12 @@ def test_flag_flip_invalidates_persisted_artifact(monkeypatch):
 
 
 def test_pickle_roundtrip_run_parity():
-    from repro.sampling.arnold_grove import make_sampler
-
     program = hot_helper_program(calls=80, inner=30)
     runs = []
     for roundtrip in (False, True):
         code = _pep_image(program)
         cm = code["helper"]
-        install_superblock(cm, _installable_path(cm), CostModel())
+        install_superblock(cm, _installable_path(cm))
         if roundtrip:
             code = {
                 name: pickle.loads(pickle.dumps(m))
@@ -434,59 +368,136 @@ def test_pickle_roundtrip_run_parity():
     assert runs[0] == runs[1]
 
 
-# -- AOT tier ----------------------------------------------------------------
+# -- generated programs, every method force-promoted ------------------------
 
 
-def test_aot_gating_never_raises():
-    from repro.vm import aot
+def _promote_every_method(code, prefer_trace: bool) -> dict:
+    """Install a tracefast artefact on every method that accepts one.
 
-    # In a container without the Cython toolchain this is simply False;
-    # either way the probe must be safe to call repeatedly.
-    available = aot.aot_available()
-    assert isinstance(available, bool)
-    assert aot.aot_available() == available  # memoised, stable
+    ``prefer_trace`` promotes each method to its first eligible loop
+    trace and falls back to the warm ladder; otherwise every method gets
+    the warm ladder.  Returns ``{"trace": n, "warm": n}``.  Only
+    DAG-less (branch-free, uninstrumented) methods stay on plain
+    blockjit — the tier has no artefact slot for them.
+    """
+    counts = {"trace": 0, "warm": 0}
+    for cm in code.values():
+        if cm.dag is None:
+            assert install_superblock(cm, tracefast.WARM_PATH) is False
+            continue
+        path = None
+        if prefer_trace:
+            path = next(
+                (p for p in range(cm.dag.num_paths)
+                 if trace_blocks(cm, p) is not None),
+                None,
+            )
+        if path is not None:
+            assert install_superblock(cm, path)
+            counts["trace"] += 1
+        else:
+            assert install_superblock(cm, tracefast.WARM_PATH)
+            counts["warm"] += 1
+        assert cm.sb_path == (tracefast.WARM_PATH if path is None else path)
+    return counts
 
 
-def test_aot_fallback_digest_parity(monkeypatch):
-    # AOT on (whether or not the toolchain exists — load_functions
-    # returns None on any failure) and AOT forced off must agree.
-    program = hot_helper_program(calls=80, inner=30)
-    digests = []
-    for aot_on in (True, False):
-        monkeypatch.setattr(flags, "TRACEFAST_AOT", aot_on)
-        digests.append(
-            _digest(*_run_image(program, install=True, tf=True,
-                                costs=CostModel()))
+def _generated_outcome(program, promote, fuel=50_000_000, max_stack_depth=4000):
+    """One run of ``program``: ``promote`` is None (tuple interpreter),
+    ``"warm"`` or ``"trace"`` (blockjit with every method promoted).
+
+    Returns ``(outcome, cycles, counts)``: a completed run's digest, or
+    the trap / fuel-abort signature plus everything observed up to it.
+    """
+    code = compile_simple(program, mode="pep")
+    counts = None
+    if promote is not None:
+        counts = _promote_every_method(code, prefer_trace=promote == "trace")
+    vm = VirtualMachine(
+        code, program.main, costs=CostModel(), tick_interval=300.0,
+        sampler=make_sampler(8, 3), blockjit=promote is not None,
+        max_stack_depth=max_stack_depth,
+    )
+    try:
+        result = vm.run(fuel=fuel)
+    except (GuestTrapError, FuelExhaustedError) as err:
+        outcome = (
+            type(err).__name__, str(err), err.method, err.block,
+            err.instruction_index, err.cycles, list(vm.output),
+            sorted(vm.path_profile.items()),
+            sorted((repr(b), c) for b, c in vm.edge_profile.items()),
         )
-    assert digests[0] == digests[1]
+        return outcome, err.cycles, counts
+    return ("ok", _digest(vm, result)), result.cycles, counts
 
 
-def test_aot_load_is_none_without_toolchain(monkeypatch):
-    from repro.vm import aot
+_GEN_SEEDS = range(300, 306)
 
-    if aot.aot_available():  # pragma: no cover - toolchain-dependent
-        pytest.skip("AOT toolchain present; fallback path not reachable")
-    cm, _, trace = _traced_cm()
-    source = generate_method_source(cm, trace)
-    assert aot.load_functions(cm, source) is None
+
+def _generated(seed):
+    return random_program(seed, GeneratorSpec(n_helpers=2, work_budget=400))
+
+
+def _generated_limits(program):
+    """(fuel, max stack depth) pairs: unbounded, fuel-starved about a
+    third of the way in, and a stack too shallow for nested helper
+    calls (a guest trap raised from inside generated code)."""
+    _, cycles, _ = _generated_outcome(program, None)
+    return ((50_000_000, 4000), (max(20, int(cycles) // 3), 4000),
+            (50_000_000, 2))
+
+
+@pytest.mark.parametrize("seed", _GEN_SEEDS)
+def test_generated_programs_promoted_match_interpreter(seed, monkeypatch):
+    # Every method of a generated program is force-promoted (warm ladder
+    # everywhere, or a loop trace wherever one is eligible) and must
+    # match the tuple interpreter in cycles, output, profiles, traps and
+    # fuel aborts.
+    monkeypatch.setattr(flags, "WARMJIT", True)
+    program = _generated(seed)
+    for fuel, depth in _generated_limits(program):
+        oracle, _, _ = _generated_outcome(program, None, fuel, depth)
+        for promote in ("warm", "trace"):
+            outcome, _, counts = _generated_outcome(
+                program, promote, fuel, depth
+            )
+            assert counts["warm"] + counts["trace"] > 0
+            assert outcome == oracle, (seed, promote, fuel, depth)
+
+
+def test_generated_programs_reach_traces_and_traps(monkeypatch):
+    # Across those seeds the forced promotion must actually install loop
+    # traces, and the limits must actually abort on fuel and trap on the
+    # stack; otherwise the oracle comparison is vacuous for those paths.
+    monkeypatch.setattr(flags, "WARMJIT", True)
+    traces = 0
+    kinds = set()
+    for seed in _GEN_SEEDS:
+        program = _generated(seed)
+        code = compile_simple(program, mode="pep")
+        traces += _promote_every_method(code, prefer_trace=True)["trace"]
+        for fuel, depth in _generated_limits(program):
+            kinds.add(_generated_outcome(program, None, fuel, depth)[0][0])
+    assert traces > 0
+    assert {"ok", "FuelExhaustedError", "GuestTrapError"} <= kinds
 
 
 # -- whole-suite parity (all bundled workloads) ---------------------------
 
 
-def _workload_checksum(workload: str, tf: bool) -> str:
+def _workload_checksum(workload: str) -> str:
     import repro.api as api
 
     suite = {w.name: w for w in benchmark_suite()}
-    old_tf, old_sb = flags.TRACEFAST, flags.SUPERBLOCK
-    flags.TRACEFAST, flags.SUPERBLOCK = tf, True
+    old_sb = flags.SUPERBLOCK
+    flags.SUPERBLOCK = True
     try:
         program = suite[workload].build(0.3)
         report = api.profile_adaptive(
             program, samples=16, stride=3, ticks=100
         )
     finally:
-        flags.TRACEFAST, flags.SUPERBLOCK = old_tf, old_sb
+        flags.SUPERBLOCK = old_sb
     return payload_checksum(
         {
             "paths": sorted(report.paths.items()),
@@ -502,7 +513,10 @@ def _workload_checksum(workload: str, tf: bool) -> str:
 
 
 @pytest.mark.parametrize("workload", ALL_WORKLOADS)
-def test_workload_digest_parity(workload):
-    on = _workload_checksum(workload, tf=True)
-    off = _workload_checksum(workload, tf=False)
-    assert on == off
+def test_workload_digest_parity(workload, monkeypatch):
+    # The default pipeline (blockjit, trace tier, warm ladders, k-traces)
+    # against the tuple interpreter, which never promotes anything.
+    default = _workload_checksum(workload)
+    monkeypatch.setenv(blockjit.ENV_DISABLE, "0")
+    interpreter = _workload_checksum(workload)
+    assert default == interpreter
