@@ -208,7 +208,6 @@ def bench_sampling(quick: bool) -> dict:
     from repro.instrument.pep import apply_pep
     from repro.instrument.yieldpoints import insert_yieldpoints
     from repro.sampling.arnold_grove import make_sampler
-    from repro.util.flags import samplefast_enabled
     from repro.vm.costs import CostModel
     from repro.vm.interpreter import lower_method
     from repro.vm.runtime import VirtualMachine
@@ -271,7 +270,6 @@ def bench_sampling(quick: bool) -> dict:
         "scale": scale,
         "reps": reps,
         "tick_interval": tick,
-        "datapath": "samplefast" if samplefast_enabled() else "legacy",
         "sampled_ticks": results["sampled"]["ticks"],
         # Throughput fields keep the schema-2 aggregate methodology
         # (total cycles / total wall) so they stay comparable across
@@ -1300,7 +1298,6 @@ def append_history(report: dict, path: str) -> None:
         "vcycles_per_sec": interp.get("vcycles_per_sec"),
         "blockjit_speedup": interp.get("blockjit_speedup"),
         "sampling_wall_overhead": sampling.get("sampling_wall_overhead"),
-        "sampling_datapath": sampling.get("datapath"),
         "superblock_speedup": metrics.get("superblock", {}).get(
             "superblock_speedup"
         ),
@@ -1523,7 +1520,7 @@ def main(argv=None) -> int:
     rc = 0
     # Absolute sampling-overhead ceiling (full runs only: quick runs are
     # too short for the ratio to be trustworthy at 1.3x resolution).
-    if not args.quick and sampling["datapath"] == "samplefast":
+    if not args.quick:
         if sampling["sampling_wall_overhead"] > SAMPLING_OVERHEAD_CEILING:
             print(
                 f"bench_perf: FATAL sampling wall overhead "

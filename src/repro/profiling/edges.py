@@ -18,21 +18,10 @@ expansion into a precomputed integer slot array replayed with
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.bytecode.method import BranchRef
-
-try:  # Optional: accelerates batched slot updates, never required.
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment-dependent
-    _np = None
-
-
-def numpy_available() -> bool:
-    """Whether the NumPy-backed batch drain can run in this process."""
-    return _np is not None
 
 
 class EdgeProfile:
@@ -77,65 +66,6 @@ class EdgeProfile:
         arr = self._arr
         for slot in slots:
             arr[slot] += count
-
-    # Below this many slots a batch entry is cheaper to apply as a
-    # plain Python loop than to wrap in ndarray views: the NumPy path
-    # costs ~2us of fixed per-entry setup against ~0.1us per looped
-    # slot, so vectorization only pays off for wide entries (measured
-    # crossover ~20 slots; typical sample drains run 4-17; re-measured
-    # unchanged under the tracefast backend — the drain runs in the
-    # yieldpoint handler, outside any generated method body, so the
-    # codegen tier does not move the crossover).  Overridable via
-    # REPRO_NUMPY_MIN_SLOTS for crossover experiments on machines where
-    # the NumPy fixed cost differs; the setting is wall-clock-only
-    # (both paths are bit-identical) so no cache key carries it.
-    NUMPY_MIN_SLOTS = 32
-
-    @staticmethod
-    def _resolve_min_slots() -> int:
-        raw = os.environ.get("REPRO_NUMPY_MIN_SLOTS", "").strip()
-        if raw:
-            try:
-                return max(1, int(raw))
-            except ValueError:
-                pass
-        return EdgeProfile.NUMPY_MIN_SLOTS
-
-    def record_slot_batches(
-        self, batches: Sequence[Tuple[Sequence[int], float]]
-    ) -> None:
-        """Apply many :meth:`record_slots` calls, vectorizing wide ones.
-
-        Entries narrower than :data:`NUMPY_MIN_SLOTS` are looped
-        directly; the rest are concatenated and applied as one
-        ``bincount`` add over the backing array.  Callers must finish
-        every :meth:`slot_for` allocation before calling: the float64
-        view over the backing array is taken once, and growing the
-        array would invalidate it.  Counts are integer-valued sample
-        tallies (well below 2**53), so the split and the vectorized
-        accumulation are exact and therefore bit-identical to the
-        sequential pure-Python reference loop regardless of order.
-        """
-        arr = self._arr
-        min_slots = self._resolve_min_slots()
-        idx_parts = []
-        count_parts = []
-        for slots, count in batches:
-            n = len(slots)
-            if n < min_slots:
-                for slot in slots:
-                    arr[slot] += count
-            else:
-                idx_parts.append(_np.frombuffer(slots, dtype=_np.int64))
-                count_parts.append(_np.full(n, count))
-        if not idx_parts:
-            return
-        view = _np.frombuffer(arr, dtype=_np.float64)
-        view += _np.bincount(
-            _np.concatenate(idx_parts),
-            weights=_np.concatenate(count_parts),
-            minlength=len(view),
-        )
 
     def merge(self, other: "EdgeProfile") -> None:
         arr_o = other._arr

@@ -24,14 +24,9 @@ from array import array
 from typing import List, Optional
 
 from repro.errors import PathReconstructionError, ReproError
-from repro.profiling.edges import numpy_available
 from repro.profiling.kpaths import shared_schema
-from repro.util.flags import (
-    kblpp_enabled,
-    kblpp_k,
-    numpy_drain_enabled,
-    samplefast_enabled,
-)
+from repro.resilience.manager import ResilienceManager
+from repro.util.flags import kblpp_enabled, kblpp_k
 from repro.vm.interpreter import CompiledMethod
 from repro.vm.runtime import VirtualMachine
 
@@ -100,6 +95,12 @@ class ArnoldGroveSampler:
     expanded to its branch events to update the edge profile, with the
     expansion memoised so only a path's first sample pays for it
     (section 4.3).
+
+    One datapath (DESIGN.md §10): the yieldpoint only *admits* a sample
+    into a run-length-encoded buffer, and :meth:`_drain` is the only
+    code that writes the path and edge tables.  Resilient runs make
+    their fault-site decisions at the yieldpoint, sample by sample, and
+    buffer what they admit exactly like plain runs.
     """
 
     __slots__ = (
@@ -109,19 +110,12 @@ class ArnoldGroveSampler:
         "_skip_left",
         "_samples_left",
         "_rotation",
-        "_fast",
-        "_np_drain",
         "_between",
         "_buf_cm",
         "_buf_path",
         "_buf_n",
         "_buf_last_cm",
         "_buf_last_path",
-        "_rc_vm",
-        "_rc_cm",
-        "_rc_ok",
-        "_rc_np",
-        "_rc_pk",
         "_c_sample",
         "_c_stride",
         "_c_expand",
@@ -139,37 +133,20 @@ class ArnoldGroveSampler:
         self._skip_left = 0
         self._samples_left = 0
         self._rotation = 0
-        # Fast datapath (DESIGN.md §10): samples buffer into flat lists
-        # and drain in batches; REPRO_SAMPLEFAST=0 keeps the original
-        # sample-at-a-time recording.  Resolved once at construction.
-        self._fast = samplefast_enabled()
-        # Batch the drain's edge-slot updates through NumPy when it is
-        # importable (REPRO_NUMPY_DRAIN=0 keeps the pure-Python loop as
-        # the gated reference).  Bit-identical either way: counts are
-        # integer-valued floats, so add order cannot matter.
-        self._np_drain = numpy_available() and numpy_drain_enabled()
         self._between = not config.simplified and config.stride > 1
         # Run-length-encoded sample buffer: parallel lists of
-        # (method, path, repeat count).  Hot loops sample the same path
-        # many times in a row, so most samples are a single list-item
-        # increment.
+        # (method, entry, repeat count), where the entry is the path
+        # number, or its complement ``~path`` for an edges-only sample
+        # (a resilient run's path-table fault).  Hot loops sample the
+        # same path many times in a row, so most samples are a single
+        # list-item increment.
         self._buf_cm: List[CompiledMethod] = []
         self._buf_path: List[int] = []
         self._buf_n: List[int] = []
         self._buf_last_cm: Optional[CompiledMethod] = None
         self._buf_last_path = -1
-        # Record-path probe cache, keyed by (vm, cm) identity: resolver
-        # presence, resilience, and the DAG's path-number range are
-        # fixed per (vm, cm), so the per-sample record decision reduces
-        # to two identity checks and a range compare.
-        self._rc_vm: Optional[VirtualMachine] = None
-        self._rc_cm: Optional[CompiledMethod] = None
-        self._rc_ok = False
-        self._rc_np = 0
-        self._rc_pk = ""
         # Dilated handler costs, refreshed from the VM's cost model at
-        # every tick (identical divisions, so identical floats to the
-        # per-sample computation they replace).
+        # every tick (a sample is only taken after a tick).
         self._c_sample = 0.0
         self._c_stride = 0.0
         self._c_expand = 0.0
@@ -191,10 +168,9 @@ class ArnoldGroveSampler:
     def reset(self) -> None:
         """Restart the burst state machine (rotation included).
 
-        Samples already buffered by the fast datapath are *not*
-        discarded: they were legitimately taken before the reset, and
-        the legacy datapath had already recorded them; the next drain
-        (tick, burst end, or :meth:`flush`) applies them.
+        Samples already buffered are *not* discarded: they were
+        legitimately taken before the reset, and the next drain (tick,
+        burst end, or :meth:`flush`) applies them.
         """
         self._state = _IDLE
         self._skip_left = 0
@@ -207,13 +183,12 @@ class ArnoldGroveSampler:
 
     def on_tick(self, vm: VirtualMachine) -> None:
         vm.flag = True
-        if self._fast:
-            if self._buf_cm:
-                self._drain(vm)
-            costs = vm.costs
-            self._c_sample = costs.scaled_handler(costs.handler_sample)
-            self._c_stride = costs.scaled_handler(costs.handler_stride)
-            self._c_expand = costs.scaled_handler(costs.handler_expand_first)
+        if self._buf_cm:
+            self._drain(vm)
+        costs = vm.costs
+        self._c_sample = costs.scaled_handler(costs.handler_sample)
+        self._c_stride = costs.scaled_handler(costs.handler_stride)
+        self._c_expand = costs.scaled_handler(costs.handler_expand_first)
         if self._state != _IDLE:
             # The previous burst is still draining (very long bursts or
             # very short tick intervals); let it finish.
@@ -234,8 +209,6 @@ class ArnoldGroveSampler:
         path_reg: int,
         is_sample_point: bool,
     ) -> float:
-        if not self._fast:
-            return self._on_yieldpoint_legacy(vm, cm, path_reg, is_sample_point)
         state = self._state
         if state == _SAMPLING:
             cost = self._c_sample
@@ -246,44 +219,14 @@ class ArnoldGroveSampler:
                     and path_reg == self._buf_last_path
                 ):
                     # Same (method, path) as the still-buffered previous
-                    # sample: that sample already passed the probe and
-                    # marked the expansion, so this one is a single
-                    # run-length bump.
+                    # sample of a plain run: that sample was already
+                    # admitted and marked the expansion, so this one is
+                    # a single run-length bump.
                     self._buf_n[-1] += 1
                     if self._kblpp:
                         self._kpush(vm, cm, path_reg)
                 else:
-                    if cm is not self._rc_cm or vm is not self._rc_vm:
-                        self._rearm_record_cache(vm, cm)
-                    if self._rc_ok and 0 <= path_reg < self._rc_np:
-                        # Buffered record (see _drain for the apply).
-                        self._buf_cm.append(cm)
-                        self._buf_path.append(path_reg)
-                        self._buf_n.append(1)
-                        self._buf_last_cm = cm
-                        self._buf_last_path = path_reg
-                        if len(self._buf_cm) >= _RING_CAP:
-                            self._drain(vm)
-                        # First-expansion accounting is per-VM, exactly
-                        # as in _record: the cost lands on the sample
-                        # that triggers the expansion, even though the
-                        # (memoised) expansion itself now happens at the
-                        # drain.  In-range paths of a numbered DAG
-                        # always reconstruct, so marking eagerly matches
-                        # _record's success-only marking.
-                        pkey = (self._rc_pk, path_reg)
-                        expanded = vm.expanded_paths
-                        if pkey not in expanded:
-                            expanded.add(pkey)
-                            cost += self._c_expand
-                        if self._kblpp:
-                            self._kpush(vm, cm, path_reg)
-                    else:
-                        # Resolver-less method, resilient run, or a path
-                        # number that cannot reconstruct: the original
-                        # sample-at-a-time datapath handles every such
-                        # case (including raising) exactly as before.
-                        cost += self._record(vm, cm, path_reg)
+                    cost += self._record(vm, cm, path_reg)
             left = self._samples_left - 1
             self._samples_left = left
             if left == 0:
@@ -311,46 +254,6 @@ class ArnoldGroveSampler:
         vm.flag = False
         return 0.0
 
-    def _on_yieldpoint_legacy(
-        self,
-        vm: VirtualMachine,
-        cm: CompiledMethod,
-        path_reg: int,
-        is_sample_point: bool,
-    ) -> float:
-        costs = vm.costs
-        if self._state == _STRIDING:
-            self._skip_left -= 1
-            vm.strides_skipped += 1
-            if self._skip_left == 0:
-                self._state = _SAMPLING
-            return costs.scaled_handler(costs.handler_stride)
-
-        if self._state != _SAMPLING:
-            # Flag raised by someone else (e.g. a method-only tick burst
-            # already drained); nothing for us to do.
-            vm.flag = False
-            return 0.0
-
-        cost = costs.scaled_handler(costs.handler_sample)
-        vm.samples_taken += 1
-        if is_sample_point and self.record_paths:
-            cost += self._record(vm, cm, path_reg)
-
-        self._samples_left -= 1
-        if self._samples_left == 0:
-            self._state = _IDLE
-            vm.flag = False
-            if self._kblpp:
-                self._kclear()
-        elif not self.config.simplified and self.config.stride > 1:
-            # Regular Arnold-Grove: stride between every pair of samples.
-            self._state = _STRIDING
-            self._skip_left = self.config.stride - 1
-            if self._kblpp:
-                self._kclear()
-        return cost
-
     def flush(self, vm: VirtualMachine) -> None:
         """Drain buffered samples into the VM's profiles (run end).
 
@@ -367,22 +270,64 @@ class ArnoldGroveSampler:
     def _record(
         self, vm: VirtualMachine, cm: CompiledMethod, path_reg: int
     ) -> float:
+        """Admit one path sample into the buffer; returns its extra cost.
+
+        First-expansion accounting is per-VM (not per-memo): the shared
+        resolver memo may already be warm from another run or compiled
+        version, but *this* run still pays the one-time expansion cost
+        exactly once per (method version, path).  The cost lands on the
+        sample that triggers the expansion, even though the (memoised)
+        expansion itself happens at the drain.
+        """
         resolver = cm.resolver
         if resolver is None:
             # Method compiled without PEP (e.g. baseline tier): the
             # yieldpoint cannot deliver a path.
             return 0.0
         resilience = vm.resilience
-        injector = resilience.injector if resilience is not None else None
+        if resilience is not None:
+            return self._record_resilient(vm, cm, path_reg, resilience)
+        if not 0 <= path_reg < resolver.dag.num_paths:
+            # Only in-range paths of a numbered DAG reconstruct; the
+            # resolver raises the PathReconstructionError.
+            resolver.branch_events(path_reg)
+        cost = 0.0
+        pkey = (cm.profile_key, path_reg)
+        expanded = vm.expanded_paths
+        if pkey not in expanded:
+            expanded.add(pkey)
+            cost = self._c_expand
+        # Set before buffering: a drain at the ring cap clears them.
+        self._buf_last_cm = cm
+        self._buf_last_path = path_reg
+        self._buffer(vm, cm, path_reg)
+        if self._kblpp:
+            self._kpush(vm, cm, path_reg)
+        return cost
+
+    def _record_resilient(
+        self,
+        vm: VirtualMachine,
+        cm: CompiledMethod,
+        path_reg: int,
+        resilience: ResilienceManager,
+    ) -> float:
+        """:meth:`_record` for a run with a resilience layer.
+
+        The fault sites and K-strikes accounting are order-sensitive, so
+        every sample runs them here, in order: path-disabled, ``sample``,
+        first expansion (``path-reconstruct``), ``path-table``.  Admitted
+        samples never set the run-length shortcut in :meth:`on_yieldpoint`,
+        which would skip these decisions.
+        """
         source = cm.source_name
-        if resilience is not None and not resilience.path_profiling_enabled(
-            source
-        ):
+        if not resilience.path_profiling_enabled(source):
             # Degraded: the K-strikes policy turned PEP path profiling off
             # for this method; the sample is simply not recorded.
             if self._kblpp:
                 self._kbreak(cm)
             return 0.0
+        injector = resilience.injector
         if injector is not None and injector.should_fire(
             "sample", cm.profile_key
         ):
@@ -393,62 +338,61 @@ class ArnoldGroveSampler:
                 self._kbreak(cm)
             return 0.0
         cost = 0.0
-        # First-expansion accounting is per-VM (not per-memo): the shared
-        # resolver memo may already be warm from another run or compiled
-        # version, but *this* run still pays the one-time expansion cost —
-        # and still exercises the reconstruction fault site — exactly
-        # once per (method version, path).  Failed expansions are not
-        # marked, so a retried sample pays (and may fault) again, as
-        # before.
         pkey = (cm.profile_key, path_reg)
-        first_time = pkey not in vm.expanded_paths
-        if first_time:
-            cost += vm.costs.scaled_handler(vm.costs.handler_expand_first)
-        try:
-            events = resolver.branch_events(
-                path_reg, injector=injector if first_time else None
-            )
-        except PathReconstructionError as exc:
-            if resilience is None:
-                raise
-            # Drop the sample; K consecutive failures on one method
-            # disable its path profiling (edge-only fallback).
-            resilience.note_reconstruction_failure(source, exc)
-            if self._kblpp:
-                self._kbreak(cm)
-            return cost
-        vm.expanded_paths.add(pkey)
-        if resilience is not None:
-            resilience.note_reconstruction_success(source)
+        expanded = vm.expanded_paths
+        if pkey not in expanded:
+            # The first expansion is where the reconstruction fault site
+            # fires.  Failed expansions are not marked, so a retried
+            # sample pays (and may fault) again.
+            cost = self._c_expand
+            try:
+                cm.resolver.branch_events(path_reg, injector=injector)
+            except PathReconstructionError as exc:
+                # Drop the sample; K consecutive failures on one method
+                # disable its path profiling (edge-only fallback).
+                resilience.note_reconstruction_failure(source, exc)
+                if self._kblpp:
+                    self._kbreak(cm)
+                return cost
+            expanded.add(pkey)
+        resilience.note_reconstruction_success(source)
         if injector is not None and injector.should_fire(
             "path-table", cm.profile_key
         ):
-            # The path-table update faulted; the edge derivation below
-            # still proceeds, so the edge profile keeps flowing.
+            # The path-table update faulted; the sample still feeds the
+            # edge profile, so it is buffered edges-only.
             resilience.drop_sample()
             if self._kblpp:
                 self._kbreak(cm)
+            self._buffer(vm, cm, ~path_reg)
         else:
-            vm.path_profile.record(cm.profile_key, path_reg)
+            self._buffer(vm, cm, path_reg)
             if self._kblpp:
                 self._kpush(vm, cm, path_reg)
-        edge_profile = vm.edge_profile
-        for branch, taken in events:
-            edge_profile.record(branch, taken)
         return cost
+
+    def _buffer(
+        self, vm: VirtualMachine, cm: CompiledMethod, entry: int
+    ) -> None:
+        """Append one admitted sample entry, draining at the ring cap."""
+        self._buf_cm.append(cm)
+        self._buf_path.append(entry)
+        self._buf_n.append(1)
+        if len(self._buf_cm) >= _RING_CAP:
+            self._drain(vm)
 
     def _kpush(
         self, vm: VirtualMachine, cm: CompiledMethod, path_reg: int
     ) -> None:
-        """Chain a just-recorded 1-path sample into the k-window (§16).
+        """Chain a just-admitted 1-path sample into the k-window (§16).
 
-        Called at the exact points where a sample lands in
-        ``vm.path_profile`` — the RLE bump and buffer append of the fast
-        datapath, and :meth:`_record`'s success path — so the two
-        datapaths chain sample-for-sample identical windows.  A full
-        window slides by one (overlapping windows: the k-path stream has
-        one entry per iteration, like the 1-path stream) and records its
-        k-number into the shadow table when the chain invariant holds.
+        Called at the exact points where a sample is admitted for the
+        path table — the RLE bump and the buffer appends — so windows
+        chain sample for sample, independently of when the drain runs.
+        A full window slides by one (overlapping windows: the k-path
+        stream has one entry per iteration, like the 1-path stream) and
+        records its k-number into the shadow table when the chain
+        invariant holds.
         """
         if vm is not self._kwin_vm:
             self._kwin.clear()
@@ -497,35 +441,14 @@ class ArnoldGroveSampler:
         for entry in self._kwin.values():
             del entry[0][:]
 
-    def _rearm_record_cache(
-        self, vm: VirtualMachine, cm: CompiledMethod
-    ) -> None:
-        """Refresh the per-(vm, cm) record-path probe (see __init__).
-
-        ``_rc_ok`` means the buffered datapath may record for this
-        (vm, cm): the method has a resolver (it was compiled with PEP)
-        and the run has no resilience layer.  Fault-injection sites and
-        K-strikes accounting are order-sensitive per sample — buffering
-        would reorder them — so resilient runs keep the original
-        sample-at-a-time datapath via ``_record``.
-        """
-        self._rc_vm = vm
-        self._rc_cm = cm
-        resolver = cm.resolver
-        if resolver is None or vm.resilience is not None:
-            self._rc_ok = False
-            return
-        self._rc_ok = True
-        self._rc_np = resolver.dag.num_paths
-        self._rc_pk = cm.profile_key
-
     def _drain(self, vm: VirtualMachine) -> None:
         """Apply buffered samples: aggregate, then batch-update tables.
 
-        Sample order is preserved in aggregate: counters are integers,
-        so ``+k`` equals k successive ``+1``s exactly, and first-
-        occurrence iteration order reproduces the table insertion order
-        the per-sample datapath produced.
+        The only writer of ``vm.path_profile`` and ``vm.edge_profile``
+        during a sampled run.  Sample order is preserved in aggregate:
+        counters are integers, so ``+k`` equals k successive ``+1``s
+        exactly, and first-occurrence iteration order reproduces the
+        table insertion order of sample-at-a-time recording.
         """
         buf_cm = self._buf_cm
         buf_path = self._buf_path
@@ -545,16 +468,9 @@ class ArnoldGroveSampler:
         slot_cache = vm.edge_slot_cache
         slot_cache_get = slot_cache.get
         record_slots = edge_profile.record_slots
-        # Resolution (slot allocation + path recording) stays sequential
-        # in entry order — it is what assigns slot indices, and the path
-        # profile is a dict/dense-array hybrid with its own ordering.
-        # Only the edge-slot accumulation batches: either the reference
-        # loop per entry, or one NumPy scatter-add over all entries
-        # (taken after resolution, since slot_for may grow the array).
-        np_drain = self._np_drain
-        pending: List = []
-        for (cm, path_reg), k in agg.items():
+        for (cm, entry), k in agg.items():
             profile_key = cm.profile_key
+            path_reg = entry if entry >= 0 else ~entry
             count = float(k)
             ckey = (profile_key, path_reg)
             slots = slot_cache_get(ckey)
@@ -567,13 +483,9 @@ class ArnoldGroveSampler:
                     "q", [slot_for(branch, taken) for branch, taken in events]
                 )
                 slot_cache[ckey] = slots
-            path_profile.record(profile_key, path_reg, count)
-            if np_drain:
-                pending.append((slots, count))
-            else:
-                record_slots(slots, count)
-        if pending:
-            edge_profile.record_slot_batches(pending)
+            if entry >= 0:
+                path_profile.record(profile_key, path_reg, count)
+            record_slots(slots, count)
 
 
 def make_sampler(

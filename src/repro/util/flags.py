@@ -1,15 +1,18 @@
 """Process-wide feature flags resolved from the environment.
 
-The sampling fast path (countdown yieldpoints, dense profile tables,
-buffered sample recording — see DESIGN.md §10) is controlled by
-``REPRO_SAMPLEFAST``.  Every flag here follows the same resolution
-idiom: an explicit argument wins, then the module flag (tests may pin
-it), then the environment variable, then the built-in default of *on*.
+Each boolean flag here is a kill switch for one wall-clock optimisation
+(superblock traces, profile-guided codegen, warm ladders, k-iteration
+paths).  Every flag follows the same resolution idiom: an explicit
+argument wins, then the module flag (tests may pin it), then the
+environment variable, then the built-in default of *on*.  Environment
+values are parsed by :func:`_env_enabled`, which also serves
+``REPRO_BLOCKJIT`` and ``REPRO_CODECACHE``: a value that is neither a
+true-ish nor a false-ish token is rejected with a
+:class:`~repro.errors.ReproError` naming the variable, never guessed.
 
-Both datapaths are bit-identical in every observable (profiles, virtual
-cycles, fault-injection sequences — ``tests/test_samplefast.py`` proves
-it), so the flag only moves wall clock; ``REPRO_SAMPLEFAST=0`` is the
-kill switch that reverts to the legacy per-sample datapath.
+Every switch is bit-identical in every observable (profiles, virtual
+cycles, fault-injection sequences), so flipping one only moves wall
+clock.
 """
 
 from __future__ import annotations
@@ -17,24 +20,14 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-SAMPLEFAST_ENV = "REPRO_SAMPLEFAST"
-
-#: Module override: tests may pin this to force a datapath regardless of
-#: the environment.  ``None`` means "consult the environment".
-SAMPLEFAST: Optional[bool] = None
+from repro.errors import ReproError
 
 SUPERBLOCK_ENV = "REPRO_SUPERBLOCK"
 
 #: Module override for path-guided superblock formation (DESIGN.md §11).
+#: ``None`` means "consult the environment"; the same holds for every
+#: module override below.
 SUPERBLOCK: Optional[bool] = None
-
-NUMPY_DRAIN_ENV = "REPRO_NUMPY_DRAIN"
-
-#: Module override for the NumPy-backed batch edge-profile drain.  The
-#: pure-Python loop stays available as the gated reference; both produce
-#: bit-identical profiles (sample counts are integer-valued floats, so
-#: the adds are exact in any order).
-NUMPY_DRAIN: Optional[bool] = None
 
 PGO_ENV = "REPRO_PGO"
 
@@ -100,26 +93,28 @@ KBLPP_K_DEFAULT = 2
 KBLPP_K_MAX = 8
 
 
+_TRUE_TOKENS = ("1", "on", "yes", "true")
+_FALSE_TOKENS = ("0", "off", "no", "false")
+
+
 def _env_enabled(name: str, default: bool = True) -> bool:
-    env = os.environ.get(name)
-    if env is not None and env.strip():
-        return env.strip().lower() not in ("0", "off", "no", "false")
-    return default
+    """Parse the boolean environment flag ``name`` (unset/blank = default).
 
-
-def samplefast_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve the effective sampling-fast-path setting.
-
-    Components that persist artefacts shaped by this flag (the blockjit
-    codecache keys) must store the *resolved* value, never the raw
-    ``None``, so cached artefacts from one mode are never replayed in
-    the other.
+    Raises :class:`ReproError` naming the variable for any value that is
+    neither a true-ish nor a false-ish token.
     """
-    if explicit is not None:
-        return bool(explicit)
-    if SAMPLEFAST is not None:
-        return bool(SAMPLEFAST)
-    return _env_enabled(SAMPLEFAST_ENV)
+    env = os.environ.get(name)
+    if env is None or not env.strip():
+        return default
+    token = env.strip().lower()
+    if token in _TRUE_TOKENS:
+        return True
+    if token in _FALSE_TOKENS:
+        return False
+    raise ReproError(
+        f"{name}={env!r} is not a boolean; use one of "
+        f"{', '.join(_TRUE_TOKENS + _FALSE_TOKENS)}"
+    )
 
 
 def superblock_enabled(explicit: Optional[bool] = None) -> bool:
@@ -241,28 +236,17 @@ def kblpp_k(explicit: Optional[int] = None) -> int:
     ``REPRO_KBLPP_K`` change drops stale k-traces instead of decoding a
     path number in the wrong path space.
     """
-    value: Optional[int] = None
     if explicit is not None:
         value = int(explicit)
     elif KBLPP_K is not None:
         value = int(KBLPP_K)
     else:
-        env = os.environ.get(KBLPP_K_ENV)
-        if env is not None and env.strip():
-            try:
-                value = int(env.strip())
-            except ValueError:
-                value = None
-    if value is None:
-        value = KBLPP_K_DEFAULT
+        env = os.environ.get(KBLPP_K_ENV, "").strip()
+        try:
+            value = int(env) if env else KBLPP_K_DEFAULT
+        except ValueError:
+            raise ReproError(
+                f"{KBLPP_K_ENV}={env!r} is not an integer"
+            ) from None
     return max(1, min(KBLPP_K_MAX, value))
 
-
-def numpy_drain_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve the NumPy batch-drain setting (effective only if NumPy
-    actually imports; callers gate on availability separately)."""
-    if explicit is not None:
-        return bool(explicit)
-    if NUMPY_DRAIN is not None:
-        return bool(NUMPY_DRAIN)
-    return _env_enabled(NUMPY_DRAIN_ENV)

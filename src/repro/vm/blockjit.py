@@ -53,11 +53,10 @@ Kill switch: ``REPRO_BLOCKJIT=0`` falls back to the tuple interpreter.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FuelExhaustedError, VMError
-from repro.util.flags import pgo_layout_enabled, samplefast_enabled
+from repro.util.flags import _env_enabled, pgo_layout_enabled
 from repro.vm.costs import FOLD_SCALE
 from repro.vm.interpreter import (
     OP_ALEN,
@@ -107,8 +106,7 @@ _CODE_OBJECTS_BOUND = 4096
 
 def blockjit_enabled() -> bool:
     """True unless ``REPRO_BLOCKJIT`` disables the block engine."""
-    flag = os.environ.get(ENV_DISABLE, "1").strip().lower()
-    return flag not in ("0", "off", "no", "false")
+    return _env_enabled(ENV_DISABLE)
 
 
 # -- codegen ----------------------------------------------------------------
@@ -181,6 +179,42 @@ def counted_branches(cm: CompiledMethod) -> List[Tuple[str, object]]:
         for block in cm.blocks.values()
         if block.term[0] == T_BR and block.term[10]
     ]
+
+
+def _emit_countdown_yield(
+    seg: "_Segment", path_reg: str, sample_point: bool
+) -> None:
+    """Emit the countdown yieldpoint (DESIGN.md §10), shared by tracefast.
+
+    One compare against ``st.gate`` (next_tick while the flag is down,
+    -inf while it is up) guards an inlined slow path that runs the
+    interpreter's flush/tick/flag sequence against the VM attributes,
+    then re-derives the gate.  ``vm.cycles`` is still stored every
+    yieldpoint with the bit-identical value.  After the once-per-tick
+    method sample, dispatch reduces to the sampler call (its 0.0 cost
+    seed adds exactly: costs are non-negative, so 0.0 + x == x
+    bitwise), saving a frame per armed yieldpoint.  The handler calls
+    are what let samplers, the adaptive system, and resilience fault
+    sites fire unchanged in compiled code.
+    """
+    expr = seg.cyc_expr()
+    seg.pending = []
+    seg.emit(f"_t = vm.cycles + {expr}")
+    seg.emit("vm.cycles = _t")
+    seg.emit("_cyc = 0.0")
+    seg.emit("if _t >= st.gate:")
+    seg.emit("if _t >= vm.next_tick:", 2)
+    seg.emit("vm.on_tick()", 3)
+    seg.emit("if vm.flag:", 2)
+    seg.emit("_smp = vm.sampler", 3)
+    seg.emit("if vm._tick_method_sampled and _smp is not None:", 3)
+    call_args = f"_cm, {path_reg}, {sample_point!r})"
+    seg.emit(f"_cyc += _smp.on_yieldpoint(vm, {call_args}", 4)
+    seg.emit("else:", 3)
+    seg.emit(f"_cyc += vm.dispatch_yieldpoint({call_args}", 4)
+    seg.emit("st.gate = _NI if vm.flag else vm.next_tick", 3)
+    seg.emit("else:", 2)
+    seg.emit("st.gate = vm.next_tick", 3)
 
 
 class _Segment:
@@ -271,10 +305,6 @@ class _MethodCodegen:
         self._origin_names: Dict[str, str] = {
             label: f"_og{j}" for j, (label, _) in enumerate(counted_branches(cm))
         }
-        # Resolved once so a method's segments all share one yieldpoint
-        # style; the style is baked into the source text, which is what
-        # the codecache keys (via the resolved samplefast flag) address.
-        self._samplefast = samplefast_enabled()
         # Fixed-point accounting verdict (DESIGN.md §15): decided at
         # lowering time and carried on the method, so lazily regenerated
         # sources (ensure_jit after a pickle round-trip) always match
@@ -430,60 +460,7 @@ class _MethodCodegen:
             seg.emit("vm.path_profile.record(_pk, st.path_reg)")
             seg.emit("vm.path_count_updates += 1")
         elif c == OP_YIELD:
-            if self._samplefast:
-                # Countdown yieldpoint (DESIGN.md §10): one compare
-                # against ``st.gate`` (next_tick while the flag is down,
-                # -inf while it is up) guards an inlined slow path that
-                # runs the exact legacy tick/flag sequence against the VM
-                # attributes, then re-derives the gate.  ``vm.cycles`` is
-                # still stored every yieldpoint with the bit-identical
-                # value.  After the once-per-tick method sample, dispatch
-                # reduces to the sampler call (its 0.0 cost seed adds
-                # exactly: costs are non-negative, so 0.0 + x == x
-                # bitwise), saving a frame per armed yieldpoint.
-                expr = seg.cyc_expr()
-                seg.pending = []
-                seg.emit(f"_t = vm.cycles + {expr}")
-                seg.emit("vm.cycles = _t")
-                seg.emit("_cyc = 0.0")
-                seg.emit("if _t >= st.gate:")
-                seg.emit("if _t >= vm.next_tick:", 2)
-                seg.emit("vm.on_tick()", 3)
-                seg.emit("if vm.flag:", 2)
-                seg.emit("_smp = vm.sampler", 3)
-                seg.emit(
-                    "if vm._tick_method_sampled and _smp is not None:", 3
-                )
-                seg.emit(
-                    "_cyc += _smp.on_yieldpoint"
-                    f"(vm, _cm, st.path_reg, {op[2]!r})",
-                    4,
-                )
-                seg.emit("else:", 3)
-                seg.emit(
-                    "_cyc += vm.dispatch_yieldpoint"
-                    f"(_cm, st.path_reg, {op[2]!r})",
-                    4,
-                )
-                seg.emit("st.gate = _NI if vm.flag else vm.next_tick", 3)
-                seg.emit("else:", 2)
-                seg.emit("st.gate = vm.next_tick", 3)
-            else:
-                # Identical flush/tick/flag sequence to the interpreter;
-                # the handler call is what lets samplers, the adaptive
-                # system, and resilience fault sites fire unchanged
-                # under blockjit.
-                expr = seg.cyc_expr()
-                seg.pending = []
-                seg.emit(f"vm.cycles += {expr}")
-                seg.emit("_cyc = 0.0")
-                seg.emit("if vm.cycles >= vm.next_tick:")
-                seg.emit("vm.on_tick()", 2)
-                seg.emit("if vm.flag:")
-                seg.emit(
-                    f"_cyc += vm.dispatch_yieldpoint(_cm, st.path_reg, {op[2]!r})",
-                    2,
-                )
+            _emit_countdown_yield(seg, "st.path_reg", op[2])
         else:  # pragma: no cover - lowering emits only known codes
             raise VMError(f"blockjit cannot compile opcode {c}")
 
@@ -632,8 +609,6 @@ def _namespace(cm: CompiledMethod) -> dict:
         "_trap": _trap,
         "_Fuel": FuelExhaustedError,
         "_CALL": _CALL,
-        # Always bound, whichever yieldpoint style this method's source
-        # uses: persisted sources may predate the current flag setting.
         "_NI": _NEG_INF,
     }
     for bi, block in enumerate(cm.blocks.values()):

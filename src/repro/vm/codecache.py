@@ -32,13 +32,14 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from repro.bytecode.disasm import format_instr, format_terminator
 from repro.bytecode.method import Method, Program
+from repro.errors import ReproError
 from repro.profiling.edges import EdgeProfile
 from repro.util.flags import (
+    _env_enabled,
     kblpp_enabled,
     kblpp_k,
     pgo_inline_enabled,
     pgo_layout_enabled,
-    samplefast_enabled,
     warmjit_enabled,
 )
 from repro.util.rng import stable_hash
@@ -52,14 +53,13 @@ DEFAULT_BOUND = 2048
 # (``jit_source``) so warm runs skip codegen; per-process closures
 # (``jit_entries``) are dropped on pickle and rebuilt lazily.  Cache
 # keys also gained a resolved ``fuse`` field (previously always None).
-# Format 3: keys gained a resolved ``samplefast`` field — the blockjit
-# yieldpoint template (and thus the persisted ``jit_source``) differs
-# between the countdown and legacy datapaths (DESIGN.md §10), and a key
-# must never conflate the two.
+# Format 3: keys gained a resolved sampling-datapath field — the blockjit
+# yieldpoint template (and thus the persisted ``jit_source``) differed
+# between the countdown and the since-retired per-sample datapaths.
 # Format 4: CompiledMethod pickles additionally carry the path-guided
 # superblock artefacts (``sb_source``/``sb_path``/``sb_fingerprint``,
 # DESIGN.md §11).  The fingerprint ties the trace to this version's
-# P-DAG and the resolved samplefast flag; ``ensure_jit`` revalidates it
+# P-DAG and the resolved datapath flag; ``ensure_jit`` revalidates it
 # on warm loads, so stale superblock advice misses cleanly while the
 # plain blockjit entry still hits.
 # Format 5: the ``sb_*`` slots may now carry whole-method tracefast
@@ -97,7 +97,11 @@ DEFAULT_BOUND = 2048
 # are gone) and ``sb_fingerprint`` lost its tracefast-flag component
 # (tracefast is the only trace backend), so a format-8 cache loaded
 # under format 9 is dropped wholesale.
-_FORMAT = 9
+# Format 10: one sampling datapath.  Every yieldpoint is the countdown
+# template, so the keys lost their resolved datapath field and
+# ``sb_fingerprint`` lost its datapath component; a format-9 cache
+# loaded under format 10 is dropped wholesale.
+_FORMAT = 10
 
 
 # -- fingerprints -----------------------------------------------------------
@@ -182,7 +186,6 @@ def optimize_key(
     version: int,
     costs: CostModel,
     edge_profile: Optional[EdgeProfile],
-    samplefast: Optional[bool] = None,
     min_coverage: bool = False,
 ) -> tuple:
     return (
@@ -195,7 +198,6 @@ def optimize_key(
         version,
         fingerprint_costs(costs),
         fingerprint_profile(edge_profile),
-        samplefast_enabled(samplefast),
         # Resolved PGO components (format 6): layout advice shapes the
         # persisted jit_source, and the probe-placement bit decides the
         # branch masks — neither may conflate across a flag flip.
@@ -218,14 +220,12 @@ def baseline_key(
     method: Method,
     version: int,
     costs: CostModel,
-    samplefast: Optional[bool] = None,
 ) -> tuple:
     return (
         "base",
         fingerprint_method(method),
         version,
         fingerprint_costs(costs),
-        samplefast_enabled(samplefast),
         # Baseline compilation takes no PGO advice (no profile exists
         # yet), but its jit_source is still emitted layout-aware when
         # the flag is on (canonical order, byte-identical source) — the
@@ -324,14 +324,27 @@ class CompilationCache:
         return loaded
 
 
-GLOBAL = CompilationCache(
-    bound=int(os.environ.get(ENV_BOUND, DEFAULT_BOUND) or DEFAULT_BOUND)
-)
+def bound_from_env() -> int:
+    """The LRU bound set by ``REPRO_CODECACHE_BOUND`` (unset/blank = default).
+
+    Anything but a positive integer is rejected: a zero bound would
+    evict from an empty cache on the first insert.
+    """
+    raw = os.environ.get(ENV_BOUND, "").strip()
+    if not raw:
+        return DEFAULT_BOUND
+    try:
+        bound = int(raw)
+    except ValueError:
+        bound = 0
+    if bound < 1:
+        raise ReproError(f"{ENV_BOUND}={raw!r} is not a positive integer")
+    return bound
+
+
+GLOBAL = CompilationCache(bound=bound_from_env())
 
 
 def active_cache() -> Optional[CompilationCache]:
     """The process-wide cache, or None when disabled via the environment."""
-    flag = os.environ.get(ENV_DISABLE, "1").strip().lower()
-    if flag in ("0", "off", "no", "false"):
-        return None
-    return GLOBAL
+    return GLOBAL if _env_enabled(ENV_DISABLE) else None

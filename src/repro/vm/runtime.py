@@ -22,7 +22,6 @@ from repro.errors import VMError
 from repro.profiling.callgraph import CallGraphProfile
 from repro.profiling.edges import EdgeProfile
 from repro.profiling.paths import PathProfile
-from repro.util.flags import samplefast_enabled
 from repro.util.rng import DeterministicRng
 from repro.vm.blockjit import blockjit_enabled, execute_blockjit
 from repro.vm.costs import CostModel
@@ -133,15 +132,14 @@ class VirtualMachine:
         # integer loop (DESIGN.md §10).  Per-VM, like the profiles the
         # slots index into.
         self.edge_slot_cache: Dict = {}
-        if samplefast_enabled():
-            # Pre-size dense path tables from each method's Ball-Larus
-            # path count; methods compiled into the run later (adaptive
-            # recompiles) are registered at their first drained sample.
-            for _cm in code.values():
-                if _cm.dag is not None:
-                    self.path_profile.ensure_dense(
-                        _cm.profile_key, _cm.dag.num_paths
-                    )
+        # Pre-size dense path tables from each method's Ball-Larus path
+        # count; methods compiled into the run later (adaptive
+        # recompiles) are registered at their first drained sample.
+        for _cm in code.values():
+            if _cm.dag is not None:
+                self.path_profile.ensure_dense(
+                    _cm.profile_key, _cm.dag.num_paths
+                )
         self.guest_stack: Optional[list] = None  # set by execute()
 
         # Timer state.  Jitter models the real timer's phase noise relative

@@ -274,19 +274,13 @@ def _validated_blocks(
 
 
 def superblock_fingerprint(cm: CompiledMethod, path_number: int) -> int:
-    """Ties a trace artefact to this version's P-DAG and codegen flags.
-
-    The samplefast flag is baked into the emitted yieldpoint template,
-    so a source generated under one datapath must never install under
-    the other (mirrors the codecache key's resolved flag).
-    """
-    from repro.util.flags import kblpp_k, samplefast_enabled
+    """Ties a trace artefact to this version's P-DAG and codegen flags."""
+    from repro.util.flags import kblpp_k
     from repro.vm.pgo import pgo_fingerprint
 
     return stable_hash(
         "superblock|"
         f"{dag_fingerprint(cm.dag)}|{path_number}|"
-        f"{int(samplefast_enabled())}|"
         # Format 6: the resolved PGO flags and the advice they shaped
         # (layout order, inline plans) are part of the generated source;
         # a flag flip or advice change must miss, never reuse.

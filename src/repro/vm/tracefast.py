@@ -73,6 +73,7 @@ from repro.vm.blockjit import (
     _MethodCodegen,
     _Segment,
     _cmp_text,
+    _emit_countdown_yield,
     _entry_ips,
     _mask,
     counted_branches,
@@ -194,8 +195,8 @@ def _fold_run(ops: tuple, j: int) -> Optional[Tuple[int, int]]:
     return net, k
 
 
-def _emit_yield(cg: _MethodCodegen, seg: _TfSeg, op: tuple) -> None:
-    """The blockjit yieldpoint templates, against the tracefast locals.
+def _emit_yield(seg: _TfSeg, op: tuple) -> None:
+    """The blockjit countdown yieldpoint, against the tracefast locals.
 
     Pending costs fold into the flush expression (same association as
     the eager adds) and the pending PEP increment is applied first so
@@ -203,31 +204,7 @@ def _emit_yield(cg: _MethodCodegen, seg: _TfSeg, op: tuple) -> None:
     """
     seg.cost(op[1])
     seg.flush_pep()
-    expr = seg.cyc_expr()
-    seg.pending = []
-    if cg._samplefast:
-        seg.emit(f"_t = vm.cycles + {expr}")
-        seg.emit("vm.cycles = _t")
-        seg.emit("_cyc = 0.0")
-        seg.emit("if _t >= st.gate:")
-        seg.emit("if _t >= vm.next_tick:", 2)
-        seg.emit("vm.on_tick()", 3)
-        seg.emit("if vm.flag:", 2)
-        seg.emit("_smp = vm.sampler", 3)
-        seg.emit("if vm._tick_method_sampled and _smp is not None:", 3)
-        seg.emit(f"_cyc += _smp.on_yieldpoint(vm, _cm, _pr, {op[2]!r})", 4)
-        seg.emit("else:", 3)
-        seg.emit(f"_cyc += vm.dispatch_yieldpoint(_cm, _pr, {op[2]!r})", 4)
-        seg.emit("st.gate = _NI if vm.flag else vm.next_tick", 3)
-        seg.emit("else:", 2)
-        seg.emit("st.gate = vm.next_tick", 3)
-    else:
-        seg.emit(f"vm.cycles += {expr}")
-        seg.emit("_cyc = 0.0")
-        seg.emit("if vm.cycles >= vm.next_tick:")
-        seg.emit("vm.on_tick()", 2)
-        seg.emit("if vm.flag:")
-        seg.emit(f"_cyc += vm.dispatch_yieldpoint(_cm, _pr, {op[2]!r})", 2)
+    _emit_countdown_yield(seg, "_pr", op[2])
 
 
 def _tf_op(cg: _MethodCodegen, seg: _TfSeg, label: str, j: int, op: tuple) -> None:
@@ -248,7 +225,7 @@ def _tf_op(cg: _MethodCodegen, seg: _TfSeg, label: str, j: int, op: tuple) -> No
         seg.emit("vm.path_profile.record(_pk, _pr)")
         seg.emit("vm.path_count_updates += 1")
     elif c == OP_YIELD:
-        _emit_yield(cg, seg, op)
+        _emit_yield(seg, op)
     else:
         # Registers, arithmetic, arrays, emit, traps: the blockjit
         # emitters are reused verbatim; _TfSeg redirects their cost adds
@@ -1045,8 +1022,8 @@ def generate_method_source(
     cm: CompiledMethod, trace: Optional[List[LoweredBlock]]
 ) -> str:
     """Generate the whole-method tracefast source (a pure function of
-    the lowered blocks, the trace order, the resolved samplefast/PGO
-    flags, the method's PGO advice, and the method's fold verdict —
+    the lowered blocks, the trace order, the resolved PGO flags, the
+    method's PGO advice, and the method's fold verdict —
     content-addressable exactly like blockjit sources: the superblock
     fingerprint hashes :func:`repro.vm.pgo.pgo_fingerprint` over the
     advice and resolved flags plus ``cm.fold_q``).

@@ -14,6 +14,7 @@ import pickle
 import pytest
 
 from repro.adaptive.optimizing import optimize_method
+from repro.errors import ReproError
 from repro.profiling.edges import EdgeProfile
 from repro.resilience import FaultInjector, FaultPlan
 from repro.vm import codecache
@@ -239,9 +240,11 @@ def test_old_format_cache_dropped_wholesale(tmp_path):
     # A cache persisted by an older format (format 7: no k-iteration
     # trace encoding or resolved k in the keys; format 8: keys with the
     # retired fusion/fixed-cost fields and trace fingerprints with the
-    # retired backend-flag component) must not be partially reused: each
-    # bump changed what the keys/fingerprints hash, so every old entry
-    # is untrustworthy and the load drops the whole file.
+    # retired backend-flag component; format 9: keys and trace
+    # fingerprints with the retired sampling-datapath component) must
+    # not be partially reused: each bump changed what the
+    # keys/fingerprints hash, so every old entry is untrustworthy and
+    # the load drops the whole file.
     program = counting_program(10)
     cm, cycles = _compile(program)
     path = str(tmp_path / "cache.pkl")
@@ -250,9 +253,9 @@ def test_old_format_cache_dropped_wholesale(tmp_path):
     # Rewrite the valid payload as if an old process had saved it.
     with open(path, "rb") as fh:
         payload = pickle.load(fh)
-    assert payload["format"] == codecache._FORMAT == 9
+    assert payload["format"] == codecache._FORMAT == 10
     fresh = codecache.CompilationCache()
-    for old_format in (7, 8):
+    for old_format in (7, 8, 9):
         payload["format"] = old_format
         with open(path, "wb") as fh:
             pickle.dump(payload, fh)
@@ -262,3 +265,38 @@ def test_old_format_cache_dropped_wholesale(tmp_path):
     # version stamp, not the entries).
     codecache.GLOBAL.save(path)
     assert fresh.load(path) == len(codecache.GLOBAL)
+
+
+# -- configuration ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("raw", ["0", "abc", "-3", "2.5"])
+def test_bad_bound_is_rejected_naming_the_variable(raw, monkeypatch):
+    monkeypatch.setenv(codecache.ENV_BOUND, raw)
+    with pytest.raises(ReproError, match=codecache.ENV_BOUND):
+        codecache.bound_from_env()
+
+
+def test_valid_bound_is_used(monkeypatch):
+    monkeypatch.delenv(codecache.ENV_BOUND, raising=False)
+    assert codecache.bound_from_env() == codecache.DEFAULT_BOUND
+    monkeypatch.setenv(codecache.ENV_BOUND, " 16 ")
+    assert codecache.bound_from_env() == 16
+
+
+@pytest.mark.parametrize("raw", ["0", "abc"])
+def test_bad_bound_fails_at_import_not_at_first_compile(raw):
+    # The bound is parsed once, when the module builds its cache: a bad
+    # value stops the import with the named error instead of crashing
+    # the first compile (a zero bound used to pop from an empty cache).
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, **{codecache.ENV_BOUND: raw})
+    proc = subprocess.run(
+        [sys.executable, "-c", "import repro.vm.codecache"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode != 0
+    assert f"ReproError: {codecache.ENV_BOUND}={raw!r}" in proc.stderr

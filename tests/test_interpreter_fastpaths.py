@@ -7,9 +7,9 @@ per instruction), and the tests — names kept stable — now hold the
 compiled tiers to the tuple interpreter on exactly those shapes: plain
 blockjit, and the tracefast warm ladder on every method that has a
 P-DAG.  Same outputs, same return values, same *exact* virtual cycles,
-same path and edge profiles, same traps.  The interpreter's own fast
-paths (countdown yieldpoint gate, NumPy drain) are checked against
-their reference arms further down.
+same path and edge profiles, same traps.  Further down, the compiled
+tiers' countdown yieldpoint gate is held to the interpreter's plain
+yieldpoint sequence.
 """
 
 from __future__ import annotations
@@ -323,57 +323,44 @@ def test_fused_equivalence_classic_and_full_instrumentation():
 
 # -- countdown yieldpoint gate ----------------------------------------------
 #
-# The tuple interpreter's OP_YIELD hot path borrows blockjit's countdown
-# gate: a single `total >= gate` compare stands in for the two-compare
-# `total >= next_tick or flag` test (gate is -inf while the flag is up,
-# next_tick otherwise).  The gate is pure control flow — it must be
-# observationally identical to the legacy arm in cycles, ticks, samples,
-# and profiles.
+# The compiled tiers' OP_YIELD is a countdown gate: a single
+# `total >= gate` compare stands in for the interpreter's two-step
+# `cycles >= next_tick` / `flag` test (gate is -inf while the flag is
+# up, next_tick otherwise).  The interpreter keeps the plain sequence as
+# the reference, so these interpreter-vs-blockjit runs prove the gate
+# is pure control flow: identical cycles, ticks, samples, and profiles.
 
 
-def _run_interpreted(program, samplefast, mode=None, sampler_args=None,
+def _run_interpreted(program, mode=None, sampler_args=None,
                      tick_interval=None, blockjit=False):
-    # The flag override wraps sampler construction too: ArnoldGroveSampler
-    # resolves its datapath once at construction, and mixing a fast
-    # sampler with a legacy interpreter arm is not a configuration the
-    # kill switch can produce.
-    from repro.util import flags
+    sampler = make_sampler(*sampler_args) if sampler_args is not None else None
+    code = compile_simple(program, mode=mode)
+    vm = VirtualMachine(
+        code, program.main, costs=CostModel(),
+        tick_interval=tick_interval, sampler=sampler, blockjit=blockjit,
+    )
+    return vm, vm.run()
 
-    old = flags.SAMPLEFAST
-    flags.SAMPLEFAST = samplefast
-    try:
-        sampler = (
-            make_sampler(*sampler_args) if sampler_args is not None else None
-        )
-        code = compile_simple(program, mode=mode)
-        vm = VirtualMachine(
-            code, program.main, costs=CostModel(),
-            tick_interval=tick_interval, sampler=sampler, blockjit=blockjit,
-        )
-        result = vm.run()
-    finally:
-        flags.SAMPLEFAST = old
-    return vm, result
+
+def _gate_pair(program, **kwargs):
+    return (
+        _run_interpreted(program, **kwargs),
+        _run_interpreted(program, blockjit=True, **kwargs),
+    )
 
 
 def test_interpreter_gate_equivalence_sampled():
     program = counting_program(400)
-    fast = _run_interpreted(
-        program, True, mode="pep", sampler_args=(8, 3), tick_interval=300.0
-    )
-    legacy = _run_interpreted(
-        program, False, mode="pep", sampler_args=(8, 3), tick_interval=300.0
-    )
-    _assert_identical(fast, legacy)
+    _assert_identical(*_gate_pair(
+        program, mode="pep", sampler_args=(8, 3), tick_interval=300.0
+    ))
 
 
 def test_interpreter_gate_equivalence_unsampled_ticks():
     # Ticks without a sampler: the gate still has to fire on every tick
     # boundary (flag handling runs through dispatch_yieldpoint).
     program = counting_program(200)
-    fast = _run_interpreted(program, True, tick_interval=150.0)
-    legacy = _run_interpreted(program, False, tick_interval=150.0)
-    _assert_identical(fast, legacy)
+    _assert_identical(*_gate_pair(program, tick_interval=150.0))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -381,132 +368,18 @@ def test_interpreter_gate_equivalence_random_programs(seed):
     program = random_program(
         seed + 200, GeneratorSpec(n_helpers=2, work_budget=250)
     )
-    fast = _run_interpreted(
-        program, True, mode="pep", sampler_args=(4, 5), tick_interval=200.0
-    )
-    legacy = _run_interpreted(
-        program, False, mode="pep", sampler_args=(4, 5), tick_interval=200.0
-    )
-    _assert_identical(fast, legacy)
+    _assert_identical(*_gate_pair(
+        program, mode="pep", sampler_args=(4, 5), tick_interval=200.0
+    ))
 
 
 def test_interpreter_gate_matches_blockjit_sampled():
-    # Same gate trick on both engines: the interpreter with the gate must
-    # still digest-match blockjit exactly.
+    # Regular Arnold-Grove strides between every pair of samples, so the
+    # gate flips between -inf and next_tick inside every burst.
     program = counting_program(400)
-    interp = _run_interpreted(
-        program, True, mode="pep", sampler_args=(8, 3), tick_interval=300.0
-    )
-    jit = _run_interpreted(
-        program, True, mode="pep", sampler_args=(8, 3), tick_interval=300.0,
-        blockjit=True,
-    )
-    _assert_identical(interp, jit)
-
-
-# -- NumPy batch drain -------------------------------------------------------
-
-
-def test_numpy_drain_digest_equivalence():
-    # Satellite of DESIGN.md §10: draining the sampler's RLE buffer
-    # through record_slot_batches must be bit-identical to the
-    # pure-Python reference loop (counts are integer-valued floats, so
-    # the adds are exact in any order).
-    from repro.profiling.edges import numpy_available
-    from repro.util import flags
-
-    if not numpy_available():
-        pytest.skip("NumPy not importable in this environment")
-    program = counting_program(400)
-    old = flags.NUMPY_DRAIN
-    try:
-        flags.NUMPY_DRAIN = True
-        with_np = run_program(
-            program, mode="pep", sampler=make_sampler(8, 3),
-            tick_interval=300.0,
-        )
-        flags.NUMPY_DRAIN = False
-        reference = run_program(
-            program, mode="pep", sampler=make_sampler(8, 3),
-            tick_interval=300.0,
-        )
-    finally:
-        flags.NUMPY_DRAIN = old
-    _assert_identical(with_np, reference)
-
-
-def test_numpy_drain_batch_path_is_exercised():
-    # Guard against the scatter path silently never running: when NumPy
-    # is importable and the flag is up, the drain must route through
-    # record_slot_batches (and never the reference loop).
-    from repro.profiling.edges import EdgeProfile, numpy_available
-    from repro.util import flags
-
-    if not numpy_available():
-        pytest.skip("NumPy not importable in this environment")
-    calls = {"batch": 0, "slots": 0}
-    orig_batch = EdgeProfile.record_slot_batches
-    orig_slots = EdgeProfile.record_slots
-
-    def spy_batch(self, batches):
-        calls["batch"] += 1
-        return orig_batch(self, batches)
-
-    def spy_slots(self, slots, count):
-        calls["slots"] += 1
-        return orig_slots(self, slots, count)
-
-    old = flags.NUMPY_DRAIN
-    EdgeProfile.record_slot_batches = spy_batch
-    EdgeProfile.record_slots = spy_slots
-    try:
-        flags.NUMPY_DRAIN = True
-        run_program(
-            counting_program(400), mode="pep", sampler=make_sampler(8, 3),
-            tick_interval=300.0,
-        )
-    finally:
-        EdgeProfile.record_slot_batches = orig_batch
-        EdgeProfile.record_slots = orig_slots
-        flags.NUMPY_DRAIN = old
-    assert calls["batch"] > 0
-    assert calls["slots"] == 0
-
-
-def test_record_slot_batches_vectorized_exactness():
-    # Sample drains rarely cross NUMPY_MIN_SLOTS, so the vectorized
-    # bincount arm needs direct coverage: mixed narrow/wide entries
-    # with duplicate slots must land bit-identical to the sequential
-    # reference, including the narrow/wide split inside one call.
-    import random
-    from array import array
-
-    from repro.profiling.edges import EdgeProfile, numpy_available
-
-    if not numpy_available():
-        pytest.skip("NumPy not importable in this environment")
-    rng = random.Random(7)
-    vectorized = EdgeProfile()
-    reference = EdgeProfile()
-    for profile in (vectorized, reference):
-        for branch in range(64):
-            profile.slot_for(branch, True)
-    nslots = len(vectorized._arr)
-    batches = []
-    for _ in range(20):
-        width = rng.choice([1, 4, EdgeProfile.NUMPY_MIN_SLOTS - 1,
-                            EdgeProfile.NUMPY_MIN_SLOTS, 64, 200])
-        slots = array(
-            "q", [rng.randrange(nslots) for _ in range(width)]
-        )
-        batches.append((slots, float(rng.randrange(1, 9))))
-    vectorized.record_slot_batches(batches)
-    for slots, count in batches:
-        reference.record_slots(slots, count)
-    assert vectorized._arr == reference._arr
-    assert any(
-        len(slots) >= EdgeProfile.NUMPY_MIN_SLOTS for slots, _ in batches
-    )
+    _assert_identical(*_gate_pair(
+        program, mode="pep", sampler_args=(16, 5, False), tick_interval=300.0
+    ))
 
 
 def test_baseline_tier_equivalence():

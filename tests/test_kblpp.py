@@ -19,6 +19,7 @@ import pytest
 
 from repro.cfg.dag import CARRY, DUMMY_ENTRY, DUMMY_EXIT
 from repro.cfg.kdag import build_k_dag, split_klabel
+from repro.errors import ReproError
 from repro.bytecode.builder import ProgramBuilder
 from repro.bytecode.method import Program
 from repro.persist import payload_checksum
@@ -145,8 +146,9 @@ def test_kblpp_k_resolution_and_clamp(monkeypatch):
     assert flags.kblpp_k() == flags.KBLPP_K_MAX
     monkeypatch.setenv(flags.KBLPP_K_ENV, "0")
     assert flags.kblpp_k() == 1
-    monkeypatch.setenv(flags.KBLPP_K_ENV, "nonsense")
-    assert flags.kblpp_k() == flags.KBLPP_K_DEFAULT
+    monkeypatch.setenv(flags.KBLPP_K_ENV, "two")
+    with pytest.raises(ReproError, match=flags.KBLPP_K_ENV):
+        flags.kblpp_k()
 
 
 def test_kpath_encoding_roundtrip():

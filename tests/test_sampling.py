@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import PathReconstructionError, ReproError
 from repro.sampling.arnold_grove import (
     ArnoldGroveSampler,
     SamplingConfig,
@@ -156,25 +156,54 @@ def test_regular_ag_reset_mid_burst():
     ]
 
 
-def test_reset_keeps_buffered_samples():
-    """reset() restarts the state machine but never loses taken samples.
-
-    With the buffered (samplefast) datapath the sample sits in the ring
-    buffer until a drain; with the legacy datapath it was recorded on
-    the spot.  Either way it must survive a reset.
-    """
+def _pep_vm(sampler, resilience=None):
     program = counting_program(50)
     costs = CostModel()
     code = compile_simple(program, mode="pep", costs=costs)
     cm = next(c for c in code.values() if c.resolver is not None)
+    vm = VirtualMachine(
+        code, program.main, costs=costs, sampler=sampler, resilience=resilience
+    )
+    return vm, cm
+
+
+def test_reset_keeps_buffered_samples():
+    """reset() restarts the state machine but never loses taken samples.
+
+    A taken sample sits in the sampler's buffer until the next drain; it
+    must survive a reset in between.
+    """
     sampler = make_sampler(4, 1)
-    vm = VirtualMachine(code, program.main, costs=costs, sampler=sampler)
+    vm, cm = _pep_vm(sampler)
     sampler.on_tick(vm)
     sampler.on_yieldpoint(vm, cm, 0, True)
     sampler.reset()
     sampler.flush(vm)
     assert vm.path_profile.total_samples() == 1.0
     assert vm.path_profile.frequency(cm.profile_key, 0) == 1.0
+
+
+def test_out_of_range_path_raises_without_resilience():
+    sampler = make_sampler(4, 1)
+    vm, cm = _pep_vm(sampler)
+    sampler.on_tick(vm)
+    with pytest.raises(PathReconstructionError):
+        sampler.on_yieldpoint(vm, cm, cm.dag.num_paths + 3, True)
+
+
+def test_out_of_range_path_is_dropped_with_resilience():
+    from repro.resilience import ResilienceManager
+
+    sampler = make_sampler(4, 1)
+    resilience = ResilienceManager()
+    vm, cm = _pep_vm(sampler, resilience)
+    sampler.on_tick(vm)
+    sampler.on_yieldpoint(vm, cm, cm.dag.num_paths + 3, True)
+    sampler.flush(vm)
+    assert resilience.health.reconstruction_failures == 1
+    assert resilience.health.samples_dropped == 1
+    assert vm.path_profile.total_samples() == 0.0
+    assert len(vm.edge_profile) == 0
 
 
 def test_burst_survives_overlapping_tick():

@@ -331,15 +331,15 @@ def test_pickled_tracefast_revives_through_ensure_jit(monkeypatch):
 
 
 def test_flag_flip_invalidates_persisted_artifact(monkeypatch):
-    # The fingerprint hashes the resolved samplefast flag (its
-    # yieldpoint template is baked into the source), so a source
-    # generated under one datapath can never be exec'd under the other:
-    # the flipped process drops the artefact wholesale.
+    # The fingerprint hashes the resolved PGO layout flag (the ladder's
+    # arm order is baked into the source), so a source generated under
+    # one setting can never be exec'd under the other: the flipped
+    # process drops the artefact wholesale.
     monkeypatch.setattr(flags, "SUPERBLOCK", True)
-    monkeypatch.setattr(flags, "SAMPLEFAST", True)
+    monkeypatch.setattr(flags, "PGO_LAYOUT", True)
     cm = _engaged_cm()
     clone = pickle.loads(pickle.dumps(cm))
-    monkeypatch.setattr(flags, "SAMPLEFAST", False)
+    monkeypatch.setattr(flags, "PGO_LAYOUT", False)
     entries = blockjit.ensure_jit(clone)
     assert clone.sb_entry is None
     assert clone.sb_source is None
