@@ -183,7 +183,9 @@ def bench_sampling(quick: bool) -> dict:
     Yieldpoint *sites* are present in both runs (they are part of the
     lowered image and cost virtual cycles either way); what differs is
     the tick clock being armed, so the delta is the wall-clock price of
-    the sampling checks plus sample-taking itself.
+    the sampling checks plus sample-taking itself.  The sampler asks
+    for no k-iteration windows: it is the sampler replay runs and
+    ``api.profile`` use (only the adaptive controller records windows).
 
     Timing is best-of-reps per variant, with the variants' reps
     interleaved: each rep is a full VM run timed on its own, and the
@@ -728,13 +730,14 @@ def bench_kblpp(quick: bool) -> dict:
             "note": "REPRO_WARMJIT=0 or REPRO_KBLPP=0",
         }
 
-    # Pilot: sample the plain image to fill the shadow window table.
+    # Pilot: sample the plain image to fill the shadow window table
+    # (windows are recorded only for a sampler that asks for them).
     pilot_code = pep_image()
     pilot_vm = VirtualMachine(pilot_code, program.main, costs=costs)
     pilot_cycles = pilot_vm.run().cycles
     sampled_vm = VirtualMachine(
         pilot_code, program.main, costs=costs,
-        tick_interval=pilot_cycles / 200.0, sampler=make_sampler(64, 17),
+        tick_interval=pilot_cycles / 200.0, sampler=make_sampler(64, 17, k=k),
     )
     sampled_vm.run()
     helper_cm = pilot_code["helper"]
@@ -803,7 +806,7 @@ def bench_kblpp(quick: bool) -> dict:
             grid_vm = VirtualMachine(
                 grid_code, program.main, costs=costs,
                 tick_interval=pilot_cycles / 200.0,
-                sampler=make_sampler(samples, stride),
+                sampler=make_sampler(samples, stride, k=k),
             )
             grid_vm.run()
             key = grid_code["helper"].profile_key

@@ -170,7 +170,12 @@ class AdaptiveSystem:
     ) -> VirtualMachine:
         """A VM wired to this system's code cache and sample listener."""
         if self.config.pep is not None:
-            sampler = ArnoldGroveSampler(self.config.pep)
+            # The controller is the one reader of k-windows
+            # (:meth:`_find_kpath`), so it is the one sampler owner
+            # that asks for them — only when the k-path fallback is on.
+            sampler = ArnoldGroveSampler(
+                self.config.pep, k=kblpp_k() if self._kblpp else None
+            )
         else:
             sampler = TimerMethodSampler()
         vm = VirtualMachine(

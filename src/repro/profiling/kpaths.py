@@ -29,8 +29,11 @@ the :mod:`repro.profiling.regenerate` memo idiom — because adaptive
 recompilation bumps method versions without changing the P-DAG, and
 unrolling + numbering the k-DAG is worth doing once, not per version.
 The k-path table itself (``vm.kpath_profile``) is a shadow structure:
-it charges no virtual cycles and never enters digests, so recording can
-be switched off (``REPRO_KBLPP=0``) with bit-identical results.
+it charges no virtual cycles and never enters digests.  Windows are
+chained only for a sampler built with a window length — the adaptive
+controller's, whose k-path fallback is the table's one reader — so
+replay runs and ``api.profile`` record none, and ``REPRO_KBLPP=0``
+(the controller asks for no windows) yields bit-identical results.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from typing import List, Optional
 from repro.errors import PathReconstructionError, ReproError
 from repro.profiling.kpaths import shared_schema
 from repro.resilience.manager import ResilienceManager
-from repro.util.flags import kblpp_enabled, kblpp_k
 from repro.vm.interpreter import CompiledMethod
 from repro.vm.runtime import VirtualMachine
 
@@ -119,14 +118,21 @@ class ArnoldGroveSampler:
         "_c_sample",
         "_c_stride",
         "_c_expand",
+        "k",
         "_kblpp",
-        "_k",
         "_kschema",
         "_kwin",
         "_kwin_vm",
     )
 
-    def __init__(self, config: SamplingConfig, record_paths: bool = True) -> None:
+    def __init__(
+        self,
+        config: SamplingConfig,
+        record_paths: bool = True,
+        k: Optional[int] = None,
+    ) -> None:
+        if k is not None and k < 1:
+            raise ReproError(f"k-window length must be >= 1, got {k}")
         self.config = config
         self.record_paths = record_paths
         self._state = _IDLE
@@ -150,8 +156,11 @@ class ArnoldGroveSampler:
         self._c_sample = 0.0
         self._c_stride = 0.0
         self._c_expand = 0.0
-        # k-iteration window state (DESIGN.md §16, REPRO_KBLPP): per
-        # CompiledMethod, the last < k sampled 1-paths plus the method's
+        # k-iteration window state (DESIGN.md §16), kept only when the
+        # owner asks for windows of length ``k`` — the adaptive
+        # controller, the one reader of ``vm.kpath_profile``; every
+        # other sampler (replay, api.profile) records none.  Per
+        # CompiledMethod: the last < k sampled 1-paths plus the method's
         # k-schema and a one-entry window->number memo (the dominant
         # k-path repeats the identical window every iteration).  Windows
         # chain only *consecutive* samples, so anything that breaks
@@ -159,8 +168,8 @@ class ArnoldGroveSampler:
         # failed sample, a VM switch — clears them.  Recording into
         # ``vm.kpath_profile`` charges no virtual cycles: the k-table is
         # a shadow structure outside every digest.
-        self._kblpp = kblpp_enabled() and record_paths
-        self._k = kblpp_k()
+        self.k = k if record_paths else None
+        self._kblpp = self.k is not None
         self._kschema: dict = {}
         self._kwin: dict = {}
         self._kwin_vm: Optional[VirtualMachine] = None
@@ -403,7 +412,7 @@ class ArnoldGroveSampler:
                 return  # pinned infeasible (no DAG / path space too big)
             resolver = cm.resolver
             schema = shared_schema(
-                resolver.dag if resolver is not None else None, self._k
+                resolver.dag if resolver is not None else None, self.k
             )
             self._kschema[cm] = schema
             if schema is None:
@@ -417,7 +426,7 @@ class ArnoldGroveSampler:
             self._kwin[cm] = entry
         window = entry[0]
         window.append(path_reg)
-        if len(window) < self._k:
+        if len(window) < self.k:
             return
         win = tuple(window)
         del window[0]
@@ -493,11 +502,17 @@ def make_sampler(
     stride: int,
     simplified: bool = True,
     record_paths: bool = True,
+    k: Optional[int] = None,
 ) -> ArnoldGroveSampler:
-    """Convenience constructor mirroring the paper's PEP(S,K) notation."""
+    """Convenience constructor mirroring the paper's PEP(S,K) notation.
+
+    ``k`` asks for k-iteration windows in ``vm.kpath_profile``
+    (DESIGN.md §16); None, the default, records none.
+    """
     return ArnoldGroveSampler(
         SamplingConfig(samples, stride, simplified=simplified),
         record_paths=record_paths,
+        k=k,
     )
 
 

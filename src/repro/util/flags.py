@@ -213,13 +213,14 @@ def kblpp_enabled(explicit: Optional[bool] = None) -> bool:
     """Resolve the k-iteration path-profiling setting.
 
     Effective promotion further requires superblock formation, but the
-    flag itself only gates the shadow
-    k-path table and the controller's k-path fallback.
-    ``REPRO_KBLPP=0`` is the kill switch: the sampler stops chaining
-    windows, the controller never consults the k-table, and persisted
-    k-path traces are kept but not re-installed (the warm-ladder
-    idiom).  Digests are bit-identical either way — the k-table is a
-    shadow structure that charges no virtual cycles.
+    flag itself only gates the controller's k-path fallback.  Windows
+    are chained only for the controller's sampler, which asks for them
+    exactly when the fallback is on; replay runs and ``api.profile``
+    never record them.  ``REPRO_KBLPP=0`` is the kill switch: the
+    controller asks its sampler for no windows, never consults the
+    k-table, and persisted k-path traces are kept but not re-installed
+    (the warm-ladder idiom).  Digests are bit-identical either way —
+    the k-table is a shadow structure that charges no virtual cycles.
     """
     if explicit is not None:
         return bool(explicit)

@@ -4,11 +4,13 @@ k-BLPP (arXiv 1304.5197) numbers paths across ``k`` consecutive loop
 iterations by unrolling the P-DAG.  This suite pins the numbering
 against brute-force enumeration of the k-DAG, the window arithmetic
 round trip, the shadow table's dense/demote storage, the controller's
-promotion fallback, and the full lifecycle of a promoted k-trace —
-install, side exits, pickle revival, stale fingerprints on a ``k``
-change.  Like every trace tier before it, k-BLPP must not move a single
-bit: digests are compared with ``REPRO_KBLPP`` on and off across all
-bundled workloads and under fault plans.
+promotion fallback, which samplers record windows at all (only the
+controller's, the table's one reader), and the full lifecycle of a
+promoted k-trace — install, side exits, pickle revival, stale
+fingerprints on a ``k`` change.  Like every trace tier before it,
+k-BLPP must not move a single bit: digests are compared with
+``REPRO_KBLPP`` on and off across all bundled workloads and under
+fault plans.
 """
 
 from __future__ import annotations
@@ -347,7 +349,7 @@ def test_sampled_run_fills_the_shadow_table():
     code, cm = _helper_cm(program)
     vm = VirtualMachine(
         code, program.main, costs=CostModel(),
-        tick_interval=400.0, sampler=make_sampler(16, 3),
+        tick_interval=400.0, sampler=make_sampler(16, 3, k=2),
     )
     vm.run()
     key = cm.profile_key
@@ -368,19 +370,279 @@ def test_sampled_run_fills_the_shadow_table():
     assert find_dominant_kpath(counts, 0.25, 8.0) is not None
 
 
-def test_kill_switch_empties_the_shadow_table(monkeypatch):
+def test_windowless_sampler_leaves_the_shadow_table_empty():
     from repro.sampling.arnold_grove import make_sampler
 
-    monkeypatch.setattr(flags, "KBLPP", False)
     program = bimodal_program()
     code, cm = _helper_cm(program)
+    sampler = make_sampler(16, 3)
+    assert sampler.k is None
     vm = VirtualMachine(
         code, program.main, costs=CostModel(),
-        tick_interval=400.0, sampler=make_sampler(16, 3),
+        tick_interval=400.0, sampler=sampler,
     )
     vm.run()
-    assert not vm.kpath_profile.method_paths(cm.profile_key)
+    assert vm.kpath_profile.total_samples() == 0
     assert vm.path_profile.method_paths(cm.profile_key)  # 1-paths unaffected
+
+
+@pytest.mark.parametrize(
+    "env, k",
+    [({}, 2), ({flags.KBLPP_ENV: "0"}, None), ({flags.SUPERBLOCK_ENV: "0"}, None)],
+    ids=["default", "kblpp-off", "superblock-off"],
+)
+def test_controller_asks_for_windows_only_when_it_reads_them(
+    monkeypatch, env, k
+):
+    from repro.adaptive.controller import AdaptiveConfig, AdaptiveSystem
+    from repro.sampling.arnold_grove import SamplingConfig
+
+    for name in ("KBLPP", "SUPERBLOCK", "KBLPP_K"):
+        monkeypatch.setattr(flags, name, None)
+    for name in (flags.KBLPP_ENV, flags.SUPERBLOCK_ENV, flags.KBLPP_K_ENV):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    system = AdaptiveSystem(
+        bimodal_program(), config=AdaptiveConfig(pep=SamplingConfig(8, 3))
+    )
+    assert system.make_vm(tick_interval=600.0).sampler.k == k
+
+
+def test_make_sampler_rejects_an_empty_window():
+    from repro.sampling.arnold_grove import make_sampler
+
+    with pytest.raises(ReproError, match="k"):
+        make_sampler(16, 3, k=0)
+
+
+# -- who pays for windows: pinned parity -------------------------------------
+#
+# Values below were captured when every sampler still chained windows.
+# The controller's runs must reproduce them bit for bit (k-tables
+# included: k-trace promotion is untouched); every other sampled run
+# must now record no window and move nothing else.
+
+
+def _spy_adaptive(monkeypatch):
+    from repro.adaptive.controller import AdaptiveSystem
+
+    seen = {}
+    make_vm = AdaptiveSystem.make_vm
+
+    def spy(self, *args, **kwargs):
+        vm = make_vm(self, *args, **kwargs)
+        seen["system"], seen["vm"] = self, vm
+        return vm
+
+    monkeypatch.setattr(AdaptiveSystem, "make_vm", spy)
+    return seen
+
+
+def _adaptive_pin(monkeypatch, workload, fault_plan=None):
+    import repro.api as api
+    from repro.workloads.suite import get_workload
+
+    monkeypatch.setattr(flags, "SUPERBLOCK", True)
+    seen = _spy_adaptive(monkeypatch)
+    report = api.profile_adaptive(
+        get_workload(workload).build(1.0), fault_plan=fault_plan
+    )
+    vm, system = seen["vm"], seen["system"]
+    ktables = {}
+    for key, number, count in vm.kpath_profile.items():
+        ktables.setdefault(key, []).append([number, count])
+    return {
+        "ktables": payload_checksum(ktables),
+        "kwindows": vm.kpath_profile.total_samples(),
+        "superblock_log": [list(event) for event in system.superblock_log],
+        "cycles": report.result.cycles,
+        "output": list(report.result.output),
+        "faults": report.health.faults,
+    }
+
+
+_PARITY_FAULTS = {"sample": 0.2, "path-table": 0.2}
+
+ADAPTIVE_PINS = {
+    "zigzag": {
+        "ktables": (
+            "ff42b960628f1f496dc4d36c2c13fd9e"
+            "f386a1439895759184b806cf0162b285"
+        ),
+        "kwindows": 2663.0,
+        "superblock_log": [
+            ["zig_pulse", "zig_pulse#v2", -6],
+            ["zig_pulse", "zig_pulse#v3", -6],
+            ["zigzag_chunk", "zigzag_chunk#v1", 0],
+        ],
+        "cycles": 353927.0397949219,
+        "output": [361750],
+        "faults": {},
+    },
+    "seesaw": {
+        "ktables": (
+            "2d326c2b9c61408d15893f6e471af835"
+            "2c2c7800c1fde55c43c2dd46688a1ccb"
+        ),
+        "kwindows": 2658.0,
+        "superblock_log": [
+            ["saw_pulse", "saw_pulse#v2", -6],
+            ["seesaw_chunk", "seesaw_chunk#v1", 0],
+        ],
+        "cycles": 335867.50549316406,
+        "output": [628416],
+        "faults": {},
+    },
+    "pingpong": {
+        "ktables": (
+            "ab50efa7f4754ac12752bbed59e55c9a"
+            "95726f3214f56e6523e2fa634dc879b0"
+        ),
+        "kwindows": 2451.0,
+        "superblock_log": [
+            ["rally", "rally#v1", -6],
+            ["pingpong_chunk", "pingpong_chunk#v1", 0],
+        ],
+        "cycles": 312816.91442871094,
+        "output": [729292],
+        "faults": {},
+    },
+    "zigzag+faults": {
+        "ktables": (
+            "ed2625f96eed878c18b8d08f3c968f89"
+            "21d95654b45c6ba340d2e3049445110c"
+        ),
+        "kwindows": 1092.0,
+        "superblock_log": [
+            ["zig_pulse", "zig_pulse#v2", -6],
+            ["zig_pulse", "zig_pulse#v3", -6],
+            ["zigzag_chunk", "zigzag_chunk#v1", 0],
+        ],
+        "cycles": 353927.0397949219,
+        "output": [361750],
+        "faults": {"sample": 666, "path-table": 483},
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(ADAPTIVE_PINS))
+def test_controller_windows_match_the_pinned_values(monkeypatch, case):
+    workload, _, faulted = case.partition("+")
+    plan = FaultPlan(_PARITY_FAULTS, seed=7) if faulted else None
+    assert _adaptive_pin(monkeypatch, workload, fault_plan=plan) == (
+        ADAPTIVE_PINS[case]
+    )
+
+
+def _profile_pin(vm, result):
+    return {
+        "kwindows": vm.kpath_profile.total_samples(),
+        "cycles": result.cycles,
+        "paths": payload_checksum({"paths": sorted(vm.path_profile.items())}),
+        "edges": payload_checksum(
+            {"edges": sorted((repr(b), c) for b, c in vm.edge_profile.items())}
+        ),
+    }
+
+
+def _consumer_program(name):
+    if name == "hot_loop":
+        from tests.test_adaptive_system import hot_loop_program
+
+        return hot_loop_program(4000)
+    from repro.workloads.suite import get_workload
+
+    return get_workload(name).build(1.0)
+
+
+def _replay_pin(monkeypatch, name):
+    from repro.adaptive.replay import (
+        record_advice,
+        replay_compile,
+        run_iteration_with_vm,
+    )
+    from repro.sampling.arnold_grove import SamplingConfig
+
+    program = _consumer_program(name)
+    advice = record_advice(program, tick_interval=2000.0)
+    image = replay_compile(program, advice, instrumentation="pep")
+    vm, result = run_iteration_with_vm(
+        image, tick_interval=1500.0, sampling=SamplingConfig(64, 17)
+    )
+    return _profile_pin(vm, result)
+
+
+def _api_profile_pin(monkeypatch, name):
+    import repro.api as api
+
+    vms = []
+    vm_class = api.VirtualMachine
+
+    def spy(*args, **kwargs):
+        vm = vm_class(*args, **kwargs)
+        vms.append(vm)
+        return vm
+
+    monkeypatch.setattr(api, "VirtualMachine", spy)
+    report = api.profile(_consumer_program(name))
+    assert vms[-1].sampler is not None
+    return _profile_pin(vms[-1], report.result)
+
+
+NON_CONSUMER_PINS = {
+    "replay:hot_loop": {
+        "cycles": 120393.296875,
+        "paths": (
+            "40e6f8730812fd2760293e0c8e9771cd"
+            "ff2a33789bcb987a63ab0790513a21da"
+        ),
+        "edges": (
+            "d39f9bc1ba5e839307be065cd67098bc"
+            "3dfc908b1450a4bdc12d2843feb2e83c"
+        ),
+    },
+    "replay:zigzag": {
+        "cycles": 124755.77270507812,
+        "paths": (
+            "059f3456e08d903f8f0799e82552afce"
+            "cc2594a5b88847f16d263b6c513553c7"
+        ),
+        "edges": (
+            "2349461502bde515b6777da40c14b8e8"
+            "f8537052f94cb7132896ce777bef4f7e"
+        ),
+    },
+    "profile:hot_loop": {
+        "cycles": 131109.546875,
+        "paths": (
+            "2c534cb741b815e308f26a6a74ac1b5e"
+            "6608f6a124e9ed308cd8849c30cfb731"
+        ),
+        "edges": (
+            "0db3a2595421cebf079510e07c005d57"
+            "4720b1e46a4b4aa4a242b296dfc3f0d4"
+        ),
+    },
+    "profile:zigzag": {
+        "cycles": 125469.75,
+        "paths": (
+            "463e98c82883630c0a2beef4022194f7"
+            "6fa1e8167051e08162fa96e0312701de"
+        ),
+        "edges": (
+            "56980970ac2d3fa992e8de2491ea1789"
+            "3245566aac3423d09e39bd1fad8c44a0"
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_CONSUMER_PINS))
+def test_non_consumers_record_no_windows_and_change_nothing(monkeypatch, case):
+    entry, _, name = case.partition(":")
+    run = _replay_pin if entry == "replay" else _api_profile_pin
+    assert run(monkeypatch, name) == dict(NON_CONSUMER_PINS[case], kwindows=0)
 
 
 # -- promotion lifecycle -----------------------------------------------------
