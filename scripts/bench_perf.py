@@ -1108,6 +1108,8 @@ def bench_pgo(quick: bool) -> dict:
 
 
 def bench_lowering(quick: bool) -> dict:
+    """Lowering with and without the compilation cache (the ``db``
+    workload), plus the codegen layer over the whole suite."""
     from repro.adaptive.optimizing import optimize_method
     from repro.vm import codecache
     from repro.vm.costs import CostModel
@@ -1145,6 +1147,66 @@ def bench_lowering(quick: bool) -> dict:
         "cold_compiles_per_sec": compiles / cold_wall,
         "warm_compiles_per_sec": compiles / warm_wall,
         "cache_speedup": cold_wall / warm_wall,
+        "codegen": _codegen_layer(quick),
+    }
+
+
+def _spread(values) -> dict:
+    """Median and interquartile range of per-program values."""
+    import statistics
+
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "iqr": [q1, q3]}
+
+
+def _codegen_layer(quick: bool) -> dict:
+    """The codegen layer of one cold method: blockjit source generation,
+    ``compile()`` of that source, and its size.
+
+    For each of the suite's PEP images, every method's source is
+    generated and compiled ``reps`` times with the collector paused; a
+    program's cost is its fastest rep divided by its method count.  The
+    report is the median and interquartile range over the programs.  It
+    carries no gate: the spread across runners is not yet known.
+    """
+    import gc
+
+    from repro.harness.experiment import prepare
+    from repro.vm.blockjit import generate_source
+    from repro.workloads.suite import benchmark_suite
+
+    reps = 3 if quick else 7
+    generate_us, compile_us, source_kib = [], [], []
+    methods = 0
+    for workload in benchmark_suite():
+        image = prepare(workload, scale=0.3).image("pep", cache=False)
+        cms = list(image.code.values())
+        methods += len(cms)
+        best_gen = best_compile = float("inf")
+        gc.disable()
+        try:
+            for _ in range(reps):
+                t0 = time.perf_counter()
+                sources = [generate_source(cm) for cm in cms]
+                t1 = time.perf_counter()
+                for source in sources:
+                    compile(source, "<blockjit>", "exec")
+                t2 = time.perf_counter()
+                best_gen = min(best_gen, t1 - t0)
+                best_compile = min(best_compile, t2 - t1)
+        finally:
+            gc.enable()
+        generate_us.append(best_gen * 1e6 / len(cms))
+        compile_us.append(best_compile * 1e6 / len(cms))
+        source_kib.append(sum(map(len, sources)) / 1024.0 / len(cms))
+    return {
+        "programs": len(generate_us),
+        "methods": methods,
+        "reps": reps,
+        "gated": False,
+        "generate_us_per_method": _spread(generate_us),
+        "compile_us_per_method": _spread(compile_us),
+        "source_kib_per_method": _spread(source_kib),
     }
 
 

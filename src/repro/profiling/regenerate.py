@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.bytecode.method import BranchRef
 from repro.cfg.dag import DagEdge, PDag
 from repro.errors import PathReconstructionError
-from repro.util.rng import stable_hash
+from repro.util.rng import content_hash
 
 BranchEvent = Tuple[BranchRef, bool]
 
@@ -100,7 +100,7 @@ def dag_fingerprint(dag: PDag) -> int:
 
     Two DAGs with the same fingerprint assign the same edge sequence to
     every path number, so their resolvers may share one expansion memo.
-    Uses :func:`repro.util.rng.stable_hash` (process-salt-free), so the
+    Uses :func:`repro.util.rng.content_hash` (process-salt-free), so the
     fingerprint is also identical across worker processes.
     """
     parts = [
@@ -114,7 +114,7 @@ def dag_fingerprint(dag: PDag) -> int:
             f"{edge.src}>{edge.dst}|{edge.kind}|{edge.origin}"
             f"|{edge.taken}|{edge.value}"
         )
-    return stable_hash("\x1f".join(parts))
+    return content_hash("\x1f".join(parts))
 
 
 class _SharedMemo:

@@ -1,6 +1,6 @@
 """Shared utilities: deterministic RNG, statistics helpers, ASCII tables."""
 
-from repro.util.rng import DeterministicRng, stable_hash
+from repro.util.rng import DeterministicRng, content_hash, stable_hash
 from repro.util.stats import (
     geometric_mean,
     arithmetic_mean,
@@ -14,6 +14,7 @@ from repro.util.tables import AsciiTable, format_figure
 __all__ = [
     "DeterministicRng",
     "stable_hash",
+    "content_hash",
     "geometric_mean",
     "arithmetic_mean",
     "median",

@@ -5,6 +5,11 @@ jitter, random CFG construction) flows through :class:`DeterministicRng`, a
 small, explicitly-seeded linear congruential generator.  We avoid the global
 ``random`` module so that two runs with the same seeds are bit-identical,
 which the replay-compilation methodology (paper section 5) depends on.
+
+The two process-stable hashes live here too: :func:`stable_hash` derives
+RNG seeds from names, and :func:`content_hash` fingerprints the long
+canonical texts that key the compilation cache and generated-code
+artefacts.
 """
 
 from __future__ import annotations
@@ -30,6 +35,23 @@ def stable_hash(text: str) -> int:
         value ^= byte
         value = (value * 0x100000001B3) & _MASK64
     return value
+
+
+def content_hash(text: str) -> int:
+    """Return a deterministic 64-bit fingerprint of ``text``.
+
+    BLAKE2b with an 8-byte digest, read big-endian.  It is stable across
+    processes like :func:`stable_hash`, but native: fingerprints hash
+    kilobytes of canonical disassembly per compile, where the
+    pure-Python FNV loop costs milliseconds.  Seeds stay on
+    :func:`stable_hash`, so generated programs never change.
+    """
+    # Imported on first use: hashlib loads OpenSSL (~6 ms), which a
+    # process that never fingerprints should not pay at ``import repro``.
+    from hashlib import blake2b
+
+    digest = blake2b(text.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
 
 
 class DeterministicRng:

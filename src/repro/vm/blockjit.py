@@ -39,6 +39,15 @@ exits by returning the successor segment's closure (jump/branch), the
 ``_CALL`` sentinel (guest call pushed; the driver switches frames), or
 ``None`` (guest return; value in ``JitState.ret_value``).
 
+The text is kept lean because ``compile()`` runs on every cold method
+(DESIGN.md §9): the two cold paths — the armed yieldpoint
+(:func:`_yield_slow`) and fuel exhaustion (:func:`_fuel_out`) — are
+module functions called from one generated line each; a branch writes
+its dirty registers back once, above the ``if``; and a segment writes
+back only registers that some segment of the same method reloads from
+``regs`` — every other store is dead (tracefast's whole-method function
+reads a register only after writing it unless a segment reloads it).
+
 Caching
 -------
 Generated source is attached to the :class:`CompiledMethod`
@@ -46,7 +55,8 @@ Generated source is attached to the :class:`CompiledMethod`
 :mod:`repro.vm.codecache` persists compiled methods, so warm runs (and
 engine-pool workers, which receive methods by pickle) skip codegen and
 only re-``exec``.  Compiled code objects are additionally memoised
-process-wide keyed by the source text itself.
+process-wide keyed by the source text itself (:func:`code_object`,
+shared with tracefast).
 
 Kill switch: ``REPRO_BLOCKJIT=0`` falls back to the tuple interpreter.
 """
@@ -98,8 +108,10 @@ _NEG_INF = float("-inf")
 
 # Process-wide memo of compiled code objects, keyed by the generated
 # source text itself (true content addressing: identical lowered bodies
-# produce identical source).  Bounded crudely — codegen is cheap relative
-# to a run, so an occasional flush only costs a recompile.
+# produce identical source).  ``compile()`` is about half the wall time
+# of a one-shot profiling job on a small program, so a hit is worth
+# having; the bound is crude (a full flush) because a miss only costs a
+# recompile.
 _CODE_OBJECTS: Dict[str, object] = {}
 _CODE_OBJECTS_BOUND = 4096
 
@@ -107,6 +119,58 @@ _CODE_OBJECTS_BOUND = 4096
 def blockjit_enabled() -> bool:
     """True unless ``REPRO_BLOCKJIT`` disables the block engine."""
     return _env_enabled(ENV_DISABLE)
+
+
+def code_object(source: str, filename: str):
+    """The code object of generated ``source``, memoised process-wide."""
+    code_obj = _CODE_OBJECTS.get(source)
+    if code_obj is None:
+        if len(_CODE_OBJECTS) >= _CODE_OBJECTS_BOUND:
+            _CODE_OBJECTS.clear()
+        code_obj = compile(source, filename, "exec")
+        _CODE_OBJECTS[source] = code_obj
+    return code_obj
+
+
+# -- cold paths called from generated code ----------------------------------
+
+
+def _yield_slow(vm, st, t: float, cm, path_reg: int, sample_point: bool) -> float:
+    """The armed countdown yieldpoint (DESIGN.md §10).
+
+    Runs the interpreter's tick/flag sequence against the VM attributes
+    (``t`` is the ``vm.cycles`` value the caller just stored), then
+    re-derives the gate.  After the once-per-tick method sample,
+    dispatch reduces to the sampler call, saving a frame per armed
+    yieldpoint.  Returns the handler cost that seeds the caller's
+    ``_cyc``: ``0.0 + x`` exactly as the interpreter accumulates it.
+    """
+    if t >= vm.next_tick:
+        vm.on_tick()
+    if not vm.flag:
+        st.gate = vm.next_tick
+        return 0.0
+    cyc = 0.0
+    smp = vm.sampler
+    if vm._tick_method_sampled and smp is not None:
+        cyc += smp.on_yieldpoint(vm, cm, path_reg, sample_point)
+    else:
+        cyc += vm.dispatch_yieldpoint(cm, path_reg, sample_point)
+    st.gate = _NEG_INF if vm.flag else vm.next_tick
+    return cyc
+
+
+def _fuel_out(vm, cyc: float, method, block: str, ip: int) -> None:
+    """Fuel exhaustion at a block (re)entry, exactly as the interpreter
+    raises it: flush the pending cycles, then abort."""
+    vm.cycles += cyc
+    raise FuelExhaustedError(
+        "instruction budget exhausted",
+        method=method,
+        block=block,
+        instruction_index=ip,
+        cycles=vm.cycles,
+    )
 
 
 # -- codegen ----------------------------------------------------------------
@@ -186,35 +250,21 @@ def _emit_countdown_yield(
 ) -> None:
     """Emit the countdown yieldpoint (DESIGN.md §10), shared by tracefast.
 
-    One compare against ``st.gate`` (next_tick while the flag is down,
-    -inf while it is up) guards an inlined slow path that runs the
-    interpreter's flush/tick/flag sequence against the VM attributes,
-    then re-derives the gate.  ``vm.cycles`` is still stored every
-    yieldpoint with the bit-identical value.  After the once-per-tick
-    method sample, dispatch reduces to the sampler call (its 0.0 cost
-    seed adds exactly: costs are non-negative, so 0.0 + x == x
-    bitwise), saving a frame per armed yieldpoint.  The handler calls
-    are what let samplers, the adaptive system, and resilience fault
-    sites fire unchanged in compiled code.
+    ``vm.cycles`` is stored every yieldpoint with the bit-identical
+    value; one compare against ``st.gate`` (next_tick while the flag is
+    down, -inf while it is up) guards the out-of-line slow path
+    :func:`_yield_slow`, whose handler calls are what let samplers, the
+    adaptive system, and resilience fault sites fire unchanged in
+    compiled code.
     """
     expr = seg.cyc_expr()
     seg.pending = []
     seg.emit(f"_t = vm.cycles + {expr}")
     seg.emit("vm.cycles = _t")
-    seg.emit("_cyc = 0.0")
-    seg.emit("if _t >= st.gate:")
-    seg.emit("if _t >= vm.next_tick:", 2)
-    seg.emit("vm.on_tick()", 3)
-    seg.emit("if vm.flag:", 2)
-    seg.emit("_smp = vm.sampler", 3)
-    seg.emit("if vm._tick_method_sampled and _smp is not None:", 3)
-    call_args = f"_cm, {path_reg}, {sample_point!r})"
-    seg.emit(f"_cyc += _smp.on_yieldpoint(vm, {call_args}", 4)
-    seg.emit("else:", 3)
-    seg.emit(f"_cyc += vm.dispatch_yieldpoint({call_args}", 4)
-    seg.emit("st.gate = _NI if vm.flag else vm.next_tick", 3)
-    seg.emit("else:", 2)
-    seg.emit("st.gate = vm.next_tick", 3)
+    seg.emit(
+        f"_cyc = _yield_slow(vm, st, _t, _cm, {path_reg}, {sample_point!r}) "
+        "if _t >= st.gate else 0.0"
+    )
 
 
 class _Segment:
@@ -237,6 +287,9 @@ class _Segment:
         self.dirty: set = set()  # locals that must be flushed on exit
         self.fixed = False
         self.pending: List[float] = []
+        # (body index, dirty registers) of the one writeback a blockjit
+        # segment makes on exit; see mark_writeback.
+        self.writeback: Optional[Tuple[int, List[int]]] = None
 
     def rd(self, reg: int) -> str:
         if reg not in self._bound:
@@ -290,6 +343,12 @@ class _Segment:
         for reg in sorted(self.dirty):
             self.emit(f"regs[{reg}] = r{reg}", depth)
 
+    def mark_writeback(self) -> None:
+        """Reserve the segment's top-level writeback point here; the
+        registers are filtered once the whole method's reload set is
+        known (:meth:`_MethodCodegen.generate`)."""
+        self.writeback = (len(self.body), sorted(self.dirty))
+
 
 class _MethodCodegen:
     def __init__(self, cm: CompiledMethod) -> None:
@@ -311,7 +370,6 @@ class _MethodCodegen:
         # the shape the method was certified for — codegen never
         # re-consults the flag.
         self._fixed = bool(cm.fold_q)
-        self.functions: List[str] = []
 
     # -- top level ----------------------------------------------------------
 
@@ -325,20 +383,32 @@ class _MethodCodegen:
         if advice and pgo_layout_enabled():
             rank = {label: i for i, label in enumerate(advice)}
             ordered.sort(key=lambda pair: rank.get(pair[1].label, len(rank)))
-        for bi, block in ordered:
-            for ip in _entry_ips(block):
-                self.functions.append(self._gen_segment(bi, block, ip))
+        segments = [
+            (bi, block, ip, self._gen_segment(bi, block, ip))
+            for bi, block in ordered
+            for ip in _entry_ips(block)
+        ]
+        # Writeback pruning: ``regs`` is read only by segment prologues
+        # (tracefast's whole-method function reads a register only after
+        # writing it, unless some segment reloads it too), so a store of
+        # a register no segment of this method reloads is dead.
+        reloaded = set()
+        for _, _, _, seg in segments:
+            reloaded.update(seg.loads)
         header = (
             "# Generated by repro.vm.blockjit — one function per "
             "(block, entry-ip) segment.\n"
-            "# Injected globals: _pk, _cm, _Frame, _trap, _Fuel, _CALL, "
-            "_NI, _blk*, _og*.\n"
+            "# Injected globals: _pk, _cm, _Frame, _trap, _fuel_out, "
+            "_yield_slow, _CALL, _blk*, _og*.\n"
         )
-        return header + "\n".join(self.functions)
+        return header + "\n".join(
+            self._render_segment(bi, block, ip, seg, reloaded)
+            for bi, block, ip, seg in segments
+        )
 
     # -- segments -----------------------------------------------------------
 
-    def _gen_segment(self, bi: int, block: LoweredBlock, ip: int) -> str:
+    def _gen_segment(self, bi: int, block: LoweredBlock, ip: int) -> _Segment:
         ops = block.ops
         n = len(ops)
         seg = _Segment()
@@ -355,22 +425,32 @@ class _MethodCodegen:
             j += 1
         if not ended:
             self._gen_term(seg, block)
-        label = block.label
-        lines = [f"def _f{bi}_{ip}(vm, frame, regs, st):"]
-        # Fuel is charged on every block (re)entry, exactly like the
-        # interpreter's `fuel -= n - ip + 1` at loop top.
-        lines.append(f"    _fuel = st.fuel - {n - ip + 1}")
-        lines.append("    st.fuel = _fuel")
-        lines.append("    if _fuel < 0:")
-        lines.append("        vm.cycles += st.cyc")
-        lines.append(
-            "        raise _Fuel('instruction budget exhausted', method=_pk, "
-            f"block={label!r}, instruction_index={ip}, cycles=vm.cycles)"
-        )
-        lines.append("    _cyc = st.cyc")
-        for reg in seg.loads:
-            lines.append(f"    r{reg} = regs[{reg}]")
-        lines.extend(seg.body)
+        return seg
+
+    def _render_segment(
+        self, bi: int, block: LoweredBlock, ip: int, seg: _Segment,
+        reloaded: set,
+    ) -> str:
+        lines = [
+            f"def _f{bi}_{ip}(vm, frame, regs, st):",
+            # Fuel is charged on every block (re)entry, exactly like the
+            # interpreter's `fuel -= n - ip + 1` at loop top.
+            f"    _fuel = st.fuel - {len(block.ops) - ip + 1}",
+            "    st.fuel = _fuel",
+            f"    if _fuel < 0: _fuel_out(vm, st.cyc, _pk, {block.label!r}, {ip})",
+            "    _cyc = st.cyc",
+        ]
+        lines.extend(f"    r{reg} = regs[{reg}]" for reg in seg.loads)
+        body = seg.body
+        if seg.writeback is None:
+            lines.extend(body)
+        else:
+            at, dirty = seg.writeback
+            lines.extend(body[:at])
+            lines.extend(
+                f"    regs[{reg}] = r{reg}" for reg in dirty if reg in reloaded
+            )
+            lines.extend(body[at:])
         return "\n".join(lines) + "\n"
 
     # -- ops ----------------------------------------------------------------
@@ -526,7 +606,7 @@ class _MethodCodegen:
             f"{block.label!r}, {j})",
             2,
         )
-        seg.writebacks()
+        seg.mark_writeback()
         seg.emit(f"st.cyc = {seg.cyc_expr()}")
         seg.pending = []
         seg.emit("return _CALL")
@@ -546,7 +626,7 @@ class _MethodCodegen:
             seg.emit(f"st.ret_value = {value}")
             seg.emit("return None")
         elif t == T_JMP:
-            seg.writebacks()
+            seg.mark_writeback()
             seg.emit(f"st.cyc = {seg.cyc_expr()}")
             seg.pending = []
             seg.emit(f"return {self._succ_name(term[2])}")
@@ -555,8 +635,10 @@ class _MethodCodegen:
             b = seg.rd(term[4])
             mask = _mask(term[10])
             origin = self._origin_names.get(block.label)
-            # Each arm extends the shared pre-branch chain with its own
+            # One writeback for both arms, above the ``if``.  Each arm
+            # extends the shared pre-branch chain with its own
             # penalty/edge constants before folding at its exit store.
+            seg.mark_writeback()
             shared = list(seg.pending)
             seg.emit(f"if {a} {_cmp_text(term[2])} {b}:")
             self._gen_arm(
@@ -588,7 +670,6 @@ class _MethodCodegen:
         if origin is not None:
             seg.emit(f"vm.edge_profile.record({origin}, {taken})", 2)
             seg.cost(edge_cost, 2)
-        seg.writebacks(2)
         seg.emit(f"st.cyc = {seg.cyc_expr()}", 2)
         seg.emit(f"return {self._succ_name(succ)}", 2)
 
@@ -607,9 +688,9 @@ def _namespace(cm: CompiledMethod) -> dict:
         "_cm": cm,
         "_Frame": Frame,
         "_trap": _trap,
-        "_Fuel": FuelExhaustedError,
+        "_fuel_out": _fuel_out,
+        "_yield_slow": _yield_slow,
         "_CALL": _CALL,
-        "_NI": _NEG_INF,
     }
     for bi, block in enumerate(cm.blocks.values()):
         ns[f"_blk{bi}"] = block
@@ -632,14 +713,8 @@ def ensure_jit(cm: CompiledMethod) -> dict:
     if source is None:
         source = generate_source(cm)
         cm.jit_source = source
-    code_obj = _CODE_OBJECTS.get(source)
-    if code_obj is None:
-        if len(_CODE_OBJECTS) >= _CODE_OBJECTS_BOUND:
-            _CODE_OBJECTS.clear()
-        code_obj = compile(source, "<blockjit>", "exec")
-        _CODE_OBJECTS[source] = code_obj
     ns = _namespace(cm)
-    exec(code_obj, ns)
+    exec(code_object(source, "<blockjit>"), ns)
     entries = {}
     for bi, block in enumerate(cm.blocks.values()):
         for ip in _entry_ips(block):

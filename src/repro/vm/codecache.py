@@ -7,14 +7,15 @@ is deterministic — a pure function of (method body, direct callee bodies,
 opt level, instrumentation, version, cost model, layout profile) — so its
 output can be memoised on a fingerprint of those inputs.
 
-The fingerprints use :func:`repro.util.rng.stable_hash` over canonical
-disassembly text, so keys are stable across processes (engine workers can
-share a persisted cache file).  A cache hit returns the *same*
-:class:`~repro.vm.interpreter.CompiledMethod` instance: compiled code is
-immutable after lowering (all run-time state lives in frames and VMs), so
-sharing is safe, and the recorded compile-time virtual cycles are charged
-on every hit — the cache saves wall-clock, never virtual cycles, keeping
-results bit-identical with caching on or off.
+The fingerprints use :func:`repro.util.rng.content_hash` (BLAKE2b-64)
+over canonical disassembly text, so keys are stable across processes
+(engine workers can share a persisted cache file).  A cache hit returns
+the *same* :class:`~repro.vm.interpreter.CompiledMethod` instance:
+compiled code is immutable after lowering (all run-time state lives in
+frames and VMs), so sharing is safe, and the recorded compile-time
+virtual cycles are charged on every hit — the cache saves wall-clock,
+never virtual cycles, keeping results bit-identical with caching on or
+off.
 
 Fault injection bypasses the cache entirely: an injected compile fault is
 part of the experiment, and its compiled artefact (or absence) must not
@@ -42,7 +43,7 @@ from repro.util.flags import (
     pgo_layout_enabled,
     warmjit_enabled,
 )
-from repro.util.rng import stable_hash
+from repro.util.rng import content_hash
 from repro.vm.costs import CostModel
 from repro.vm.interpreter import CompiledMethod
 
@@ -101,7 +102,14 @@ DEFAULT_BOUND = 2048
 # template, so the keys lost their resolved datapath field and
 # ``sb_fingerprint`` lost its datapath component; a format-9 cache
 # loaded under format 10 is dropped wholesale.
-_FORMAT = 10
+# Format 11: lean generated source.  Persisted ``jit_source``s call the
+# out-of-line ``_fuel_out``/``_yield_slow`` cold paths (the namespace no
+# longer binds the ``_Fuel``/``_NI`` names format-10 sources reference)
+# and prune dead writebacks, and every fingerprint — keys and
+# ``sb_fingerprint`` — moved from FNV-1a to BLAKE2b-64
+# (:func:`repro.util.rng.content_hash`); a format-10 cache loaded under
+# format 11 is dropped wholesale.
+_FORMAT = 11
 
 
 # -- fingerprints -----------------------------------------------------------
@@ -127,7 +135,7 @@ def fingerprint_method(method: Method) -> int:
             # format_terminator omits count_arms (display-only); the
             # cache must not conflate instrumented and plain branches.
             parts.append(str(getattr(term, "count_arms", False)))
-    return stable_hash("\x1f".join(parts))
+    return content_hash("\x1f".join(parts))
 
 
 def fingerprint_costs(costs: CostModel) -> int:
@@ -140,7 +148,7 @@ def fingerprint_costs(costs: CostModel) -> int:
             )
         else:
             parts.append(f"{slot}={value!r}")
-    return stable_hash("|".join(parts))
+    return content_hash("|".join(parts))
 
 
 def fingerprint_profile(profile: Optional[EdgeProfile]) -> int:
@@ -153,7 +161,7 @@ def fingerprint_profile(profile: Optional[EdgeProfile]) -> int:
             profile.items(), key=lambda item: item[0]
         )
     ]
-    return stable_hash("|".join(parts))
+    return content_hash("|".join(parts))
 
 
 def _callee_fingerprints(

@@ -54,7 +54,7 @@ from repro.errors import InstrumentationError, ReproError
 from repro.profiling.edges import EdgeProfile
 from repro.profiling.regenerate import dag_fingerprint, reconstruct_path
 from repro.util.flags import pgo_inline_enabled, pgo_layout_enabled
-from repro.util.rng import stable_hash
+from repro.util.rng import content_hash
 from repro.vm.interpreter import (
     OP_CALL,
     T_BR,
@@ -326,7 +326,7 @@ def pgo_fingerprint(cm: CompiledMethod) -> int:
                 f"{label}:{j}:{adv.callee_key}:{adv.path}:{callee_fp}:"
                 + ",".join(adv.labels)
             )
-    return stable_hash("|".join(parts))
+    return content_hash("|".join(parts))
 
 
 # -- minimum-coverage probe placement ---------------------------------------

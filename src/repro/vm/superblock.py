@@ -40,7 +40,7 @@ from repro.cfg.dag import DUMMY_ENTRY, REAL, DUMMY_EXIT
 from repro.errors import ReproError
 from repro.profiling.regenerate import dag_fingerprint, reconstruct_path
 from repro.util.flags import superblock_enabled
-from repro.util.rng import stable_hash
+from repro.util.rng import content_hash
 from repro.vm.interpreter import T_BR, T_JMP, CompiledMethod, LoweredBlock
 
 #: Traces longer than this are not worth straight-lining (and generate
@@ -278,7 +278,7 @@ def superblock_fingerprint(cm: CompiledMethod, path_number: int) -> int:
     from repro.util.flags import kblpp_k
     from repro.vm.pgo import pgo_fingerprint
 
-    return stable_hash(
+    return content_hash(
         "superblock|"
         f"{dag_fingerprint(cm.dag)}|{path_number}|"
         # Format 6: the resolved PGO flags and the advice they shaped

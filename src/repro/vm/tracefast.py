@@ -68,14 +68,13 @@ from repro.util.flags import (
     warmjit_enabled,
 )
 from repro.vm.blockjit import (
-    _CODE_OBJECTS,
-    _CODE_OBJECTS_BOUND,
     _MethodCodegen,
     _Segment,
     _cmp_text,
     _emit_countdown_yield,
     _entry_ips,
     _mask,
+    code_object,
     counted_branches,
     ensure_jit,
 )
@@ -507,13 +506,9 @@ def _emit_callee_path(
         n = len(ops)
         label = cblock.label
         iseg.raw(f"_fuel = _fuel - {n + 1}")
-        iseg.raw("if _fuel < 0:")
-        iseg.raw(f"vm.cycles += {iseg.cyc_expr()}", 2)
         iseg.raw(
-            "raise _Fuel('instruction budget exhausted', "
-            f"method={pk!r}, block={label!r}, instruction_index=0, "
-            "cycles=vm.cycles)",
-            2,
+            f"if _fuel < 0: _fuel_out(vm, {iseg.cyc_expr()}, {pk!r}, "
+            f"{label!r}, 0)"
         )
         j = 0
         while j < n:
@@ -664,13 +659,9 @@ def _emit_inline_call(
     seg.pending = iseg.pending
     n = len(block.ops)
     seg.emit(f"_fuel = _fuel - {n - j}")
-    seg.emit("if _fuel < 0:")
-    seg.emit(f"vm.cycles += {seg.cyc_expr()}", 2)
     seg.emit(
-        "raise _Fuel('instruction budget exhausted', method=_pk, "
-        f"block={block.label!r}, instruction_index={j + 1}, "
-        "cycles=vm.cycles)",
-        2,
+        f"if _fuel < 0: _fuel_out(vm, {seg.cyc_expr()}, _pk, "
+        f"{block.label!r}, {j + 1})"
     )
 
 
@@ -765,13 +756,7 @@ def _emit_plain_block(
     # segment prologue; the arm starts with an empty pending chain, so
     # `_cyc` holds exactly what `st.cyc` would at this boundary.
     seg.emit(f"_fuel = _fuel - {n - ip + 1}")
-    seg.emit("if _fuel < 0:")
-    seg.emit("vm.cycles += _cyc", 2)
-    seg.emit(
-        "raise _Fuel('instruction budget exhausted', method=_pk, "
-        f"block={label!r}, instruction_index={ip}, cycles=vm.cycles)",
-        2,
-    )
+    seg.emit(f"if _fuel < 0: _fuel_out(vm, _cyc, _pk, {label!r}, {ip})")
     j = ip
     while j < n:
         op = ops[j]
@@ -904,12 +889,8 @@ def _emit_trace_tf(
         # Per-block fuel charge, exactly as the superblock emits it; the
         # exhaustion flush takes the pending chain inline.
         seg.emit(f"_fuel = _fuel - {n + 1}")
-        seg.emit("if _fuel < 0:")
-        seg.emit(f"vm.cycles += {seg.cyc_expr()}", 2)
         seg.emit(
-            "raise _Fuel('instruction budget exhausted', method=_pk, "
-            f"block={label!r}, instruction_index=0, cycles=vm.cycles)",
-            2,
+            f"if _fuel < 0: _fuel_out(vm, {seg.cyc_expr()}, _pk, {label!r}, 0)"
         )
         called = False
         j = 0
@@ -1137,16 +1118,6 @@ def generate_method_source(
 # -- installation -----------------------------------------------------------
 
 
-def _compiled(source: str):
-    code_obj = _CODE_OBJECTS.get(source)
-    if code_obj is None:
-        if len(_CODE_OBJECTS) >= _CODE_OBJECTS_BOUND:
-            _CODE_OBJECTS.clear()
-        code_obj = compile(source, "<tracefast>", "exec")
-        _CODE_OBJECTS[source] = code_obj
-    return code_obj
-
-
 def install_source(
     cm: CompiledMethod,
     source: str,
@@ -1167,7 +1138,7 @@ def install_source(
     # Inline splices reference per-site guard/origin globals beyond the
     # blockjit namespace.
     ns.update(_inline_namespace(cm))
-    exec(_compiled(source), ns)
+    exec(code_object(source, "<tracefast>"), ns)
     for bi, block, ip in _entries_list(cm):
         entries[(block.label, ip)] = ns[f"_f{bi}_{ip}"]
     head = trace[0].label if trace else cm.entry.label

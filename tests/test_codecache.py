@@ -241,10 +241,11 @@ def test_old_format_cache_dropped_wholesale(tmp_path):
     # trace encoding or resolved k in the keys; format 8: keys with the
     # retired fusion/fixed-cost fields and trace fingerprints with the
     # retired backend-flag component; format 9: keys and trace
-    # fingerprints with the retired sampling-datapath component) must
-    # not be partially reused: each bump changed what the
-    # keys/fingerprints hash, so every old entry is untrustworthy and
-    # the load drops the whole file.
+    # fingerprints with the retired sampling-datapath component;
+    # format 10: FNV-1a keys and trace fingerprints, and sources that
+    # raise ``_Fuel`` inline) must not be partially reused: each bump
+    # changed what the keys/fingerprints hash, so every old entry is
+    # untrustworthy and the load drops the whole file.
     program = counting_program(10)
     cm, cycles = _compile(program)
     path = str(tmp_path / "cache.pkl")
@@ -253,9 +254,9 @@ def test_old_format_cache_dropped_wholesale(tmp_path):
     # Rewrite the valid payload as if an old process had saved it.
     with open(path, "rb") as fh:
         payload = pickle.load(fh)
-    assert payload["format"] == codecache._FORMAT == 10
+    assert payload["format"] == codecache._FORMAT == 11
     fresh = codecache.CompilationCache()
-    for old_format in (7, 8, 9):
+    for old_format in (7, 8, 9, 10):
         payload["format"] = old_format
         with open(path, "wb") as fh:
             pickle.dump(payload, fh)

@@ -404,14 +404,15 @@ def _promote_every_method(code, prefer_trace: bool) -> dict:
 
 def _generated_outcome(program, promote, fuel=50_000_000, max_stack_depth=4000):
     """One run of ``program``: ``promote`` is None (tuple interpreter),
-    ``"warm"`` or ``"trace"`` (blockjit with every method promoted).
+    ``"blockjit"`` (nothing promoted up front), ``"warm"`` or ``"trace"``
+    (blockjit with every method promoted).
 
     Returns ``(outcome, cycles, counts)``: a completed run's digest, or
     the trap / fuel-abort signature plus everything observed up to it.
     """
     code = compile_simple(program, mode="pep")
     counts = None
-    if promote is not None:
+    if promote in ("warm", "trace"):
         counts = _promote_every_method(code, prefer_trace=promote == "trace")
     vm = VirtualMachine(
         code, program.main, costs=CostModel(), tick_interval=300.0,
